@@ -14,7 +14,7 @@
 # macro-grid empty-space raycast bench (accel off/table/grid × macro
 # -cell size × volume sparsity; the grid rows must beat the table row by
 # >=1.5x mean on the sparse volume) — then the shared-memory pool
-# executor's scaling sweep (1/2/4/8 workers × parent/worker reduce ×
+# executor's scaling sweep (1/2/4/8 workers × mesh/tcp shuffle plane ×
 # pipeline depth 1/2 over a multi-brick orbit) into BENCH_parallel.json.
 # Compare kernels against the committed baseline with e.g.:
 #   python - <<'EOF'
@@ -51,5 +51,5 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest \
 echo "wrote $OUT"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python \
     benchmarks/bench_parallel.py --out "$PAR_OUT" --workers 1,2,4,8 \
-    --reduce-modes parent,worker --shuffle-modes parent,mesh --depths 1,2
+    --shuffle-modes mesh,tcp --depths 1,2
 echo "run_kernels.sh: OK"

@@ -50,28 +50,21 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--workers", type=int, default=None,
                    help="pool worker processes (default: one per simulated "
                         "GPU, capped to the machine's cores)")
-    r.add_argument("--reduce-mode", default="parent", choices=["parent", "worker"],
-                   help="where the pool executor runs Sort+Reduce: in the "
-                        "parent (default), or on the worker owning each "
-                        "partition, which ships back composited pixel spans "
-                        "(bitwise-identical output either way)")
     r.add_argument("--pipeline-depth", type=int, default=1,
                    help="frames the pool executor keeps in flight for orbit "
                         "rendering: 1 = synchronous, 2 = double-buffered "
                         "(workers map+reduce the next frame while the parent "
                         "stitches the current one)")
     r.add_argument("--shuffle-mode", default="auto",
-                   choices=["auto", "parent", "mesh", "tcp"],
-                   help="shuffle plane for the pool executor: 'parent' "
-                        "routes fragment runs through the parent, 'mesh' "
-                        "exchanges them worker-to-worker over direct "
-                        "shared-memory edge rings (the parent becomes a "
-                        "pure control plane), 'tcp' streams the same "
-                        "records worker-to-worker over AF_UNIX/TCP "
-                        "sockets (the multi-host plane; requires "
-                        "--reduce-mode worker), 'auto' picks mesh "
-                        "whenever the reduce runs on workers; the image "
-                        "is bitwise-identical on every plane")
+                   choices=["auto", "mesh", "tcp"],
+                   help="shuffle plane that moves fragment runs from the "
+                        "mapping pool worker to the worker that reduces "
+                        "them: 'mesh' uses direct shared-memory edge "
+                        "rings, 'tcp' streams the same records over "
+                        "AF_UNIX/TCP sockets (the multi-host plane), "
+                        "'auto' picks mesh; the parent is a pure control "
+                        "plane and the image is bitwise-identical on "
+                        "every plane")
     r.add_argument("--host-spec", default=None,
                    help="socket-plane host placement (tcp shuffle only): "
                         "an int spreads workers round-robin over that "
@@ -223,7 +216,6 @@ def _cmd_render(args) -> int:
         ),
         executor=args.executor,
         workers=args.workers,
-        reduce_mode=args.reduce_mode,
         pipeline_depth=args.pipeline_depth,
         shuffle_mode=args.shuffle_mode,
         host_spec=args.host_spec,
@@ -237,7 +229,6 @@ def _cmd_render(args) -> int:
         recovery_lines = []
         if backend == "pool":
             backend = (f"pool ({renderer.executor_workers} workers, "
-                       f"{args.reduce_mode} reduce, "
                        f"{renderer.executor_shuffle_mode} shuffle)")
             recovery_lines = renderer.executor_recovery_summary
     write_ppm(args.out, result.image)

@@ -17,13 +17,14 @@ Span taxonomy (see ARCHITECTURE.md "Observability"):
 ``map:chunk=i``
     Worker (or serial executor): Map + Partition of one chunk.
 ``shuffle-out``
-    Worker: streaming one chunk's runs into the uplink ring or the
-    mesh edges (includes queue fallbacks).
+    Worker: sending one chunk's runs to their owners over the mesh
+    edges or socket streams (includes queue fallbacks).
 ``shuffle-in``
-    Mesh reducer: draining inbound edges to a frame's watermark.
+    Reducer worker: draining inbound edges or streams to a frame's
+    watermark.
 ``reduce:partition=p``
-    Sort + Reduce of one partition, wherever it runs (worker, parent,
-    serial) — ``p`` is the job-level partition id even when a worker
+    Sort + Reduce of one partition, wherever it runs (worker or serial
+    executor) — ``p`` is the job-level partition id even when a worker
     renumbers its owned subset.
 ``stitch``
     Parent: assembling the final image from reduced pixel spans.

@@ -20,32 +20,25 @@ brick upload (PCIe)    :mod:`~repro.parallel.shm` — chunk payloads and the
 Map + Partition        :mod:`~repro.parallel.worker` — each worker runs the
 (per GPU)              ray-cast kernel and buckets fragments by reducer
                        partition, exactly the serial executor's code
-fragment download      :mod:`~repro.parallel.ring` — per-worker SPSC
-(pinned buffers)       shared-memory ring buffers with a cursor header
-                       protocol stream raw fragment runs to the parent,
-                       exporting backpressure counters (producer stall
-                       time/events, high-water mark) into ``JobStats``
-shuffle + Sort +       ``reduce_mode="parent"``: :mod:`~repro.parallel.merge`
-Reduce                 — the parent reassembles each partition's runs in
-                       chunk order and applies the counting-scatter sort +
-                       segmented-scan compositor.
-                       ``reduce_mode="worker"``: the paper's symmetric
-                       layout — each worker Sort+Reduces the partitions it
-                       owns with the *same* merge function and ships back
-                       composited pixel spans; the parent just stitches
-GPU↔GPU fragment       :mod:`~repro.parallel.shuffle` — the pluggable
-exchange (the          **shuffle plane**: ``shuffle_mode="mesh"`` moves
-interconnect)          runs worker↔worker over an N×N mesh of SPSC edge
-                       rings (records tagged frame/chunk/partition), so
-                       the parent is a pure control plane and zero run
-                       bytes cross it; ``"tcp"``
+GPU↔GPU fragment       :mod:`~repro.parallel.shuffle` — the **shuffle
+exchange (the          plane**: each mapper writes every partition's run
+interconnect)          directly to the worker that owns it, tagged
+                       frame/chunk/partition, so the parent is a pure
+                       control plane and zero run bytes cross it.  The
+                       default ``shuffle_mode="mesh"`` moves runs over an
+                       N×N mesh of SPSC shared-memory edge rings
+                       (:mod:`~repro.parallel.ring`) that export
+                       backpressure counters (producer stall time/events,
+                       high-water mark) into ``JobStats``; ``"tcp"``
                        (:mod:`~repro.parallel.socketplane`) streams the
                        same records over AF_UNIX/TCP sockets for the
-                       multi-host regime; ``"parent"`` is the routed
-                       legacy plane; ``"auto"`` picks mesh when workers
-                       reduce.
+                       multi-host regime.
                        ``pin_workers=True`` pins workers to cores before
                        they allocate their inbound edges (NUMA locality)
+Sort + Reduce          each worker Sort+Reduces the partitions it owns
+(per GPU)              with the serial executor's merge function and ships
+                       back composited pixel spans; the parent just
+                       stitches
 async overlap (§7)     ``pipeline_depth>1``: ``submit``/``collect`` keep
                        frames in flight so workers map+reduce frame *k+1*
                        while the parent assembles/stitches frame *k* (and
@@ -73,7 +66,6 @@ exit, and stall faults at exact (stage, worker, frame, chunk) points.
 """
 
 from .faults import ENV_FAULT_PLAN, FaultPlan, FaultRule
-from .merge import merge_partition_runs, split_runs
 from .pool import (
     PendingFrame,
     PoolConfig,
@@ -94,7 +86,6 @@ from .shuffle import (
     ENV_SHUFFLE_MODE,
     ENV_WATERMARK_TIMEOUT,
     MeshShuffle,
-    ParentRoutedShuffle,
     SocketShuffle,
     WorkerMesh,
 )
@@ -124,7 +115,6 @@ __all__ = [
     "FaultRule",
     "FrameContext",
     "MeshShuffle",
-    "ParentRoutedShuffle",
     "PendingFrame",
     "PoolConfig",
     "PoolFailure",
@@ -140,9 +130,7 @@ __all__ = [
     "SocketShuffle",
     "WorkerMesh",
     "map_chunk_to_runs",
-    "merge_partition_runs",
     "shm_segment_exists",
     "socket_path",
-    "split_runs",
     "usable_cores",
 ]

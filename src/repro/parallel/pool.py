@@ -7,49 +7,39 @@ is a drop-in replacement for
 :class:`~repro.core.executors.InProcessExecutor`: same
 ``execute(spec, chunks, chunk_to_gpu)`` signature, same
 :class:`~repro.core.executors.InProcessResult` out, bitwise-identical
-outputs and counters (see :mod:`repro.parallel.merge` for why).
+outputs and counters.
 
-Stage placement (``reduce_mode``):
-
-* ``"parent"`` — workers run Map + Partition, the parent runs Sort +
-  Reduce (the PR-2 layout).
-* ``"worker"`` — the paper's full symmetry: each worker also runs Sort
-  + Reduce for the reducer partitions it *owns* (the static
-  :class:`~repro.core.executors.ShuffleSpec` ownership contract,
-  ``partition % workers``), executing the literal
-  :func:`~repro.core.executors.merge_partition_runs` over chunk-ordered
-  runs and shipping back composited per-partition ``(keys, values)``
-  spans instead of raw fragments.  The parent becomes a pure stitcher.
-  Keys are disjoint per partition, so placement cannot change results.
+Stage placement follows the paper's symmetric layout: each worker runs
+Map + Partition for its chunks, ships every partition's run to the
+worker that *owns* the partition (the static
+:class:`~repro.core.executors.ShuffleSpec` ownership contract,
+``partition % workers``), and Sort + Reduces its owned partitions with
+the literal :func:`~repro.core.executors.merge_partition_runs` over
+chunk-ordered runs.  Workers ship back composited per-partition
+``(keys, values)`` spans; the parent is a pure stitcher.  Keys are
+disjoint per partition, so placement cannot change results.
 
 Shuffle plane (``shuffle_mode``, see :mod:`repro.parallel.shuffle`):
 
-* ``"parent"`` — :class:`~repro.parallel.shuffle.ParentRoutedShuffle`:
-  run bytes go worker → uplink ring → parent (→ task queue → owning
-  worker under worker-side reduce).  The parent is on the data path.
 * ``"mesh"`` — :class:`~repro.parallel.shuffle.MeshShuffle`: an N×N
   mesh of SPSC shared-memory edge rings; each mapper writes a
   partition's runs *directly* into the owning reducer worker's inbound
   edge, tagged ``(frame, chunk, partition)``, the way the paper's GPUs
-  exchange fragments over the interconnect.  The parent degrades to a
-  pure **control plane** — publish, seal, stitch, teardown — and never
-  touches a run byte (``JobStats.ring["parent_run_bytes"] == 0``).
-  Materializes only under ``reduce_mode="worker"``; with a parent-side
-  reduce every run's destination *is* the parent, so the uplink rings
-  already are the direct path.
+  exchange fragments over the interconnect.  The parent is a pure
+  **control plane** — publish, seal, stitch, teardown — and never
+  touches a run byte (``JobStats.ring["parent_run_bytes"] == 0``)
+  unless a record outgrows its edge and takes the counted queue
+  fallback.
 * ``"tcp"`` — :class:`~repro.parallel.shuffle.SocketShuffle`: the same
   direct worker↔worker exchange over byte streams (AF_UNIX on one
   host, loopback TCP otherwise; see
   :mod:`repro.parallel.socketplane`) — the off-box plane.  The parent
-  holds **zero** data sockets; like the mesh it is a pure control
-  plane with ``parent_run_bytes == 0``, and with a ``host_spec`` the
-  workers can be placed on separate "hosts" where chunk payloads ride
-  the task queues instead of the shm arena.  Materializes under
-  ``reduce_mode="worker"`` only, like the mesh.
-* ``"auto"`` (default) — ``$REPRO_SHUFFLE_MODE`` if set, else mesh
-  exactly when the reduce runs on workers (never tcp: on one box the
-  shm mesh strictly dominates; the socket plane is an explicit
-  opt-in for the off-box regime).
+  holds **zero** data sockets, and with a ``host_spec`` the workers
+  can be placed on separate "hosts" where chunk payloads ride the task
+  queues instead of the shm arena.
+* ``"auto"`` (default) — ``$REPRO_SHUFFLE_MODE`` if set, else mesh;
+  tcp only when the parent lacks the file descriptors for a mesh
+  (:func:`~repro.parallel.shuffle.mesh_fd_headroom`).
 
 Host placement (``host_spec``, tcp plane only): ``None`` (default)
 puts every worker on host 0, where the shared-memory arena lives.  An
@@ -61,9 +51,9 @@ their frame context with the transfer-function table inline — no
 shared segment is assumed to exist between hosts, which is the whole
 point.  Outputs are bitwise-identical regardless of placement.
 
-Outputs are bitwise-identical across shuffle modes × reduce modes ×
-pipeline depths *by construction*: both planes deliver the same
-chunk-ordered, tag-restored runs into the same literal merge function.
+Outputs are bitwise-identical across shuffle modes × pipeline depths
+*by construction*: both planes deliver the same chunk-ordered,
+tag-restored runs into the same literal merge function.
 
 Frame pipelining (``pipeline_depth``):
 
@@ -93,15 +83,11 @@ Data movement:
   ids/sizes)`` and republished only when that changes, so an orbit's
   frames upload the volume exactly once — the paper's resident-brick
   regime.
-* **Uplink** (fragments to parent, parent plane only): each worker
-  streams its bucketed fragment runs through a private shared-memory
-  ring buffer (:mod:`repro.parallel.ring`); only counters cross the
-  pickling queues.  Chunks whose output exceeds the ring capacity fall
-  back to the queue instead of deadlocking.
-* **Shuffle** (worker-reduce mode): owned by the shuffle plane — see
-  above.  Every plane exports backpressure counters (producer stall
-  time/events, high-water marks, queue fallbacks, parent-touched run
-  bytes) into ``JobStats.ring``.
+* **Shuffle** (fragment runs, worker to worker): owned by the shuffle
+  plane — see above.  Only counters and composited spans cross the
+  pickling queues to the parent.  Both planes export backpressure
+  counters (producer stall time/events, high-water marks, queue
+  fallbacks, parent-touched run bytes) into ``JobStats.ring``.
 
 NUMA/core pinning (``pin_workers=True``): each worker is pinned to a
 distinct usable core before it allocates its inbound mesh edges, so
@@ -115,7 +101,7 @@ equivalence tests and by platforms without POSIX shared memory.
 
 Supervision (``supervise=True``, the default; see
 :mod:`repro.parallel.supervise`): infrastructure failures — a worker
-process dying mid-frame, a wedged ring/edge, an expired frame
+process dying mid-frame, a wedged edge, an expired frame
 watermark — are detected by the parent's watchdog, the transport epoch
 is recycled *in place* (the shared-memory arena survives and is
 re-attached by name), and the in-flight frames are re-executed
@@ -150,19 +136,17 @@ from ..core.chunk import Chunk
 from ..core.executors import (
     InProcessExecutor,
     InProcessResult,
+    ShuffleSpec,
     make_map_work,
-    merge_partition_runs,
 )
 from ..core.job import JobConfig, MapReduceSpec
 from ..core.scheduler import MapWork
 from ..core.stats import JobStats
 from ..observability.metrics import build_job_telemetry
 from ..observability.tracer import current_tracer, span
-from .ring import ShmRing
 from .shm import ShmArena
 from .shuffle import (
     MeshShuffle,
-    ParentRoutedShuffle,
     PoolConfig,
     SocketShuffle,
     mesh_edge_name,
@@ -285,8 +269,6 @@ def _cleanup(state: dict) -> None:
             if p.is_alive():  # ignoring SIGTERM (masked or wedged in C)
                 p.kill()
                 p.join(timeout=1.0)
-        for ring in state.pop("rings", []):
-            ring.close()
         for ring in state.pop("mesh_edges", {}).values():
             ring.close()  # attached with owner=True: close() unlinks
         # Defensive sweep: edge names are deterministic (pool token +
@@ -325,8 +307,8 @@ class PendingFrame:
     Opaque to callers: pass it back to
     :meth:`SharedMemoryPoolExecutor.collect` to obtain the frame's
     :class:`~repro.core.executors.InProcessResult`.  The executor keeps
-    the frame's partial state (per-chunk runs and counters, per
-    -partition reduced outputs) here while later frames are submitted.
+    the frame's partial state (per-chunk counters, per-partition
+    reduced outputs) here while later frames are submitted.
     """
 
     __slots__ = (
@@ -335,7 +317,6 @@ class PendingFrame:
         "chunks",
         "chunk_to_gpu",
         "n",
-        "runs_per_chunk",
         "emitted_per_chunk",
         "kept_per_chunk",
         "work_per_chunk",
@@ -366,7 +347,6 @@ class PendingFrame:
         self.chunk_to_gpu = chunk_to_gpu
         n = len(self.chunks)
         self.n = n
-        self.runs_per_chunk: list = [None] * n
         self.emitted_per_chunk = [0] * n
         self.kept_per_chunk = [0] * n
         self.work_per_chunk: list = [None] * n
@@ -390,13 +370,12 @@ class PendingFrame:
         """Rewind every partial counter so the frame can be re-executed.
 
         The supervisor calls this before replaying the frame on a fresh
-        transport epoch: all map results, buffered runs, and reduced
-        spans drain from the *new* processes, so nothing from the failed
-        attempt may be left behind to double-count.  Chunks and spec are
+        transport epoch: all map results and reduced spans drain from
+        the *new* processes, so nothing from the failed attempt may be
+        left behind to double-count.  Chunks and spec are
         retained (the handle stays valid), only progress is discarded.
         """
         n = self.n
-        self.runs_per_chunk = [None] * n
         self.emitted_per_chunk = [0] * n
         self.kept_per_chunk = [0] * n
         self.work_per_chunk = [None] * n
@@ -413,7 +392,7 @@ class PendingFrame:
 
 
 class SharedMemoryPoolExecutor:
-    """Fan brick map (and reduce) work out across a pool of workers.
+    """Fan brick map and reduce work out across a pool of workers.
 
     Parameters
     ----------
@@ -424,51 +403,41 @@ class SharedMemoryPoolExecutor:
     config:
         :class:`~repro.core.job.JobConfig` execution knobs (kept for
         surface parity with the other executors).
-    ring_capacity:
-        Per-worker uplink fragment ring size in bytes (overrides
-        ``pool_config.ring_capacity``).
     start_method:
         ``multiprocessing`` start method; default prefers ``fork``.
     serial:
         Run the identical code path in-process (no processes, no shared
         memory).  Deterministic fallback for tests and constrained
         platforms.
-    reduce_mode:
-        ``"parent"`` (Sort+Reduce in the parent, the default) or
-        ``"worker"`` (per-partition Sort+Reduce on the owning worker —
-        the paper's symmetric layout).  Outputs are bitwise-identical
-        either way.
     pipeline_depth:
         Max frames in flight for :meth:`submit`/:meth:`collect`; 1
         means fully synchronous.  ``execute`` is unaffected by values
         > 1 unless frames are also submitted asynchronously.
     shuffle_mode:
-        ``"parent"``, ``"mesh"``, ``"tcp"``, or ``"auto"`` (default) —
-        which shuffle plane moves fragment runs between processes; see
-        the module docstring.  Bitwise-identical output either way.
+        ``"mesh"``, ``"tcp"``, or ``"auto"`` (default) — which shuffle
+        plane moves fragment runs between workers; see the module
+        docstring.  Bitwise-identical output either way.
     socket_family:
         Address family of the tcp plane's edge streams: ``"unix"``
         (default where available) or ``"inet"`` (loopback TCP);
-        ``None`` reads ``$REPRO_SOCKET_FAMILY``.  Ignored by the
-        other planes.
+        ``None`` reads ``$REPRO_SOCKET_FAMILY``.  Ignored by the mesh.
     host_spec:
         Worker→host placement for the tcp plane (``None``: everything
         on host 0).  An int round-robins workers across that many
         hosts; a comma-separated string or sequence pins each worker.
         Hosts other than 0 get chunk payloads over the wire instead of
         the shm arena (see the module docstring); any multi-host spec
-        requires the socket plane (``shuffle_mode="tcp"`` with
-        ``reduce_mode="worker"``), because every other transport
-        assumes one shared-memory box.
+        requires the socket plane (``shuffle_mode="tcp"``), because the
+        mesh assumes one shared-memory box.
     pin_workers:
         Opt-in NUMA/core pinning (see module docstring).
     ring_write_timeout:
-        Seconds a blocked ring/edge write may wait before the pool is
+        Seconds a blocked edge write may wait before the pool is
         declared wedged; ``None`` reads ``$REPRO_RING_WRITE_TIMEOUT``
         (default 300).
     mesh_edge_capacity:
-        Per-edge mesh ring bytes (default ``ring_capacity // workers``,
-        floor 64 KiB).
+        Per-edge mesh ring bytes (default 8 MiB ``// workers``, floor
+        64 KiB).
     watermark_timeout:
         Seconds a mesh reducer may wait for a frame's completion
         watermark before declaring the frame wedged; ``None`` reads
@@ -518,10 +487,8 @@ class SharedMemoryPoolExecutor:
         self,
         workers: Optional[int] = None,
         config: Optional[JobConfig] = None,
-        ring_capacity: Optional[int] = None,
         start_method: Optional[str] = None,
         serial: bool = False,
-        reduce_mode: str = "parent",
         pipeline_depth: int = 1,
         shuffle_mode: Optional[str] = None,
         socket_family: Optional[str] = None,
@@ -541,15 +508,12 @@ class SharedMemoryPoolExecutor:
             workers = usable_cores()
         if workers < 1:
             raise ValueError("need at least one worker")
-        if reduce_mode not in ("parent", "worker"):
-            raise ValueError(f"unknown reduce_mode {reduce_mode!r}")
         if pipeline_depth < 1:
             raise ValueError("pipeline depth must be at least 1")
         base = pool_config if pool_config is not None else PoolConfig()
         overrides = {
             k: v
             for k, v in {
-                "ring_capacity": ring_capacity,
                 "shuffle_mode": shuffle_mode,
                 "socket_family": socket_family,
                 "pin_workers": pin_workers,
@@ -567,19 +531,17 @@ class SharedMemoryPoolExecutor:
         self.workers = int(workers)
         self.config = config if config is not None else JobConfig()
         self.serial = bool(serial)
-        self.reduce_mode = reduce_mode
         self.pipeline_depth = int(pipeline_depth)
         # Resolve the transport once, at construction, so a later env
         # change cannot flip a live pool's plane mid-orbit.
-        self.ring_capacity = self.pool_config.ring_capacity
-        self.shuffle_mode = self.pool_config.resolved_shuffle_mode(reduce_mode)
+        self.shuffle_mode = self.pool_config.resolved_shuffle_mode()
         if self.mesh_active:  # serial pools open zero edge fds
             # The parent attaches all N(N-1) edges; on many-core hosts
             # that can blow through the fd soft limit mid-handshake.
-            # An implicit (auto) mesh quietly degrades to the parent
-            # plane — bitwise-identical, just slower — while an
-            # explicit request fails fast with a fix instead of a
-            # confusing EMFILE from deep inside the handshake.
+            # An implicit (auto) mesh degrades to the tcp plane, where
+            # the parent holds no data sockets — bitwise-identical —
+            # while an explicit request fails fast with a fix instead
+            # of a confusing EMFILE from deep inside the handshake.
             fits, needed, soft = mesh_fd_headroom(self.workers)
             if not fits:
                 if self.pool_config.shuffle_mode_is_explicit():
@@ -590,13 +552,13 @@ class SharedMemoryPoolExecutor:
                         "limit (ulimit -n) or reduce workers"
                     )
                 warnings.warn(
-                    f"auto shuffle: using the parent-routed plane — a "
+                    f"auto shuffle: using the tcp plane — a "
                     f"{self.workers}-worker mesh needs ~{needed} file "
                     f"descriptors but the soft RLIMIT_NOFILE is {soft}",
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                self.shuffle_mode = "parent"
+                self.shuffle_mode = "tcp"
         # Socket-plane placement: resolved (and validated) here so a
         # bad host spec or family fails at construction, like every
         # other transport knob.
@@ -610,8 +572,8 @@ class SharedMemoryPoolExecutor:
         if self.multi_host and not self.tcp_active:
             raise ValueError(
                 "a multi-host host_spec requires the socket shuffle plane "
-                "(shuffle_mode='tcp' with reduce_mode='worker'): every "
-                "other transport assumes one shared-memory box"
+                "(shuffle_mode='tcp'): the mesh assumes one shared-memory "
+                "box"
             )
         self.ring_write_timeout = self.pool_config.resolved_ring_write_timeout()
         self.mesh_edge_capacity = self.pool_config.resolved_edge_capacity(
@@ -667,42 +629,24 @@ class SharedMemoryPoolExecutor:
     def mesh_active(self) -> bool:
         """Whether the worker↔worker mesh data plane materializes.
 
-        The mesh only exists when workers reduce: with a parent-side
-        reduce every run's destination is the parent, so the uplink
-        rings already are the direct path and ``shuffle_mode="mesh"``
-        degenerates to the parent-routed plane (bitwise-identically).
         A ``serial=True`` pool runs everything in-process — no
         processes, no transport of any kind — so no plane materializes
-        there either.
+        there.
         """
-        return (
-            self.shuffle_mode == "mesh"
-            and self.reduce_mode == "worker"
-            and not self.serial
-        )
+        return self.shuffle_mode == "mesh" and not self.serial
 
     @property
     def tcp_active(self) -> bool:
         """Whether the socket (tcp) data plane materializes — same rule
-        as :attr:`mesh_active`: only when workers reduce (a parent-side
-        reduce makes the uplink rings the direct path already) and the
-        pool is not serial."""
-        return (
-            self.shuffle_mode == "tcp"
-            and self.reduce_mode == "worker"
-            and not self.serial
-        )
+        as :attr:`mesh_active`."""
+        return self.shuffle_mode == "tcp" and not self.serial
 
     @property
-    def effective_shuffle_mode(self) -> str:
-        """The plane that actually carries run bytes: ``"mesh"``/``"tcp"``
-        only when that direct plane materializes (see
-        :attr:`mesh_active` / :attr:`tcp_active`), else ``"parent"`` —
-        always agrees with what ``JobStats.ring["shuffle_mode"]``
-        reports."""
-        if self.tcp_active:
-            return "tcp"
-        return "mesh" if self.mesh_active else "parent"
+    def effective_shuffle_mode(self) -> Optional[str]:
+        """The plane that actually carries run bytes (``"mesh"`` or
+        ``"tcp"``; None for a serial pool, which has none) — always
+        agrees with what ``JobStats.ring["shuffle_mode"]`` reports."""
+        return None if self.serial else self.shuffle_mode
 
     def _worker_pins(self) -> list:
         """Per-worker core assignment for ``pin_workers`` (None = unpinned).
@@ -751,19 +695,6 @@ class SharedMemoryPoolExecutor:
         pins = self._worker_pins()
         mesh_active = self.mesh_active
         tcp_active = self.tcp_active
-        direct_plane = mesh_active or tcp_active
-        # Uplink rings exist only on the parent-routed plane; on the
-        # direct planes (mesh, tcp) every run byte travels
-        # worker<->worker edges, so the uplinks would be N dead
-        # full-capacity segments.
-        rings = (
-            []
-            if direct_plane
-            else [
-                ShmRing.create(self.ring_capacity)
-                for _ in range(self.workers)
-            ]
-        )
         task_queues = [self._ctx.Queue() for _ in range(self.workers)]
         self._result_queue = self._ctx.Queue()
         mesh_token = None
@@ -825,13 +756,7 @@ class SharedMemoryPoolExecutor:
             }
             p = self._ctx.Process(
                 target=worker_main,
-                args=(
-                    wi,
-                    task_queues[wi],
-                    self._result_queue,
-                    rings[wi].name if not direct_plane else None,
-                    cfg,
-                ),
+                args=(wi, task_queues[wi], self._result_queue, cfg),
                 daemon=True,
                 name=f"repro-pool-{wi}",
             )
@@ -843,18 +768,11 @@ class SharedMemoryPoolExecutor:
             # wave here — a warmup *failure* surfaces as a worker
             # "error" message and fails the next pump fast.
             self._kernel_warmups += self.workers
-        self._state.update(
-            procs=procs, task_queues=task_queues, rings=rings
-        )
+        self._state.update(procs=procs, task_queues=task_queues)
         # The plane owns the data path; it finishes its own transport
         # bring-up (the mesh edge / socket address handshake) before
         # any frame flows.
-        if tcp_active:
-            self._plane = SocketShuffle(self)
-        elif mesh_active:
-            self._plane = MeshShuffle(self)
-        else:
-            self._plane = ParentRoutedShuffle(self)
+        self._plane = SocketShuffle(self) if tcp_active else MeshShuffle(self)
         self._plane.start()
 
     def close(self) -> None:
@@ -877,7 +795,7 @@ class SharedMemoryPoolExecutor:
         """Recycle the transport epoch, *keeping* the published arena.
 
         Recovery's fault domain is the whole transport — processes,
-        queues, uplink rings, mesh edges — because SPSC cursor state
+        queues, mesh edges or sockets — because SPSC cursor state
         cannot be rewound for a single lost peer.  The arena is popped
         around the sweep so the expensive brick/TF segments survive;
         the fingerprint stays valid, so replay re-publishes nothing
@@ -919,7 +837,7 @@ class SharedMemoryPoolExecutor:
             except BaseException as exc:
                 failure = classify_failure(exc) if self.supervise else None
                 if failure is None:
-                    # Leftover ring bytes or queue messages from a
+                    # Leftover edge bytes or queue messages from a
                     # partially-drained frame must never pair with a
                     # later frame's chunks: tear everything down.
                     self.close()
@@ -947,7 +865,7 @@ class SharedMemoryPoolExecutor:
             self._supervisor.record_failure(failure)
             frames = [f for f in self._pending.values() if not f.done]
             # Recycle the whole transport epoch: processes, queues,
-            # rings, edges.  The arena survives (see _teardown_transport).
+            # edges or sockets.  The arena survives (see _teardown_transport).
             self._teardown_transport()
             spent = max((f.retries for f in frames), default=attempt)
             if spent >= self.max_frame_retries:
@@ -1164,14 +1082,10 @@ class SharedMemoryPoolExecutor:
         The wire payload — built only for multi-host pools — keeps the
         table inline and leaves ``tf_ref`` unset, because an off-host
         worker has no arena to rebind from; it is ``None`` otherwise.
-        ``n_chunks`` rides along so direct-plane reducers know each
-        frame's completion watermark without another control message.
+        ``n_chunks`` rides along so reducers know each frame's
+        completion watermark without another control message.
         """
-        ctx = FrameContext.from_spec(
-            spec,
-            include_reducer=self.reduce_mode == "worker",
-            n_chunks=n_chunks,
-        )
+        ctx = FrameContext.from_spec(spec, n_chunks=n_chunks)
         wire = (
             pickle.dumps(ctx, protocol=pickle.HIGHEST_PROTOCOL)
             if self.multi_host
@@ -1239,7 +1153,7 @@ class SharedMemoryPoolExecutor:
         recycles the transport epoch in place, replays the in-flight
         frames, and retries; user-code errors (and
         ``supervise=False``) keep the legacy behaviour of tearing the
-        whole pool down on the way out, because leftover ring bytes or
+        whole pool down on the way out, because leftover edge bytes or
         queue messages from a partially-drained frame must never be
         paired with a later frame's chunks.
         """
@@ -1336,16 +1250,21 @@ class SharedMemoryPoolExecutor:
 
     def _seal(self, frame: PendingFrame) -> None:
         """Bring ``frame`` to the point where later frames may be enqueued:
-        all map results drained and (in worker mode) reduce dispatched."""
+        all map results drained and reduce dispatched.
+
+        Dispatch is pure control plane: it announces which partitions
+        each worker reduces; the runs are already in (or on their way
+        to) the owners' inbound edges or streams.
+        """
         if frame.sealed:
             return
         while frame.map_received < frame.n:
             self._pump()
-        if self.reduce_mode == "worker":
-            # Control-plane handoff to the shuffle plane: parent-routed
-            # ships the runs it buffered; mesh only announces ownership
-            # (the runs are already in the owners' inbound edges).
-            self._plane.dispatch_reduce(frame)
+        shuf = ShuffleSpec(frame.spec.n_reducers, self.workers)
+        for wi in range(self.workers):
+            owned = shuf.owned_partitions(wi)
+            if owned:
+                self._state["task_queues"][wi].put(("reduce", frame.seq, owned))
         frame.sealed = True
 
     def _recv(self, timeout: float = 1.0):
@@ -1385,10 +1304,10 @@ class SharedMemoryPoolExecutor:
             _, wi, what, tb, etype = msg
             raise worker_error_to_exception(wi, what, tb, etype)
         if kind == "done":
-            (_, wi, seq, ci, emitted, kept, work, routed, ring_nbytes,
-             inline, fallbacks) = msg
+            (_, wi, seq, ci, emitted, kept, work, routed, wire_nbytes,
+             fallbacks) = msg
             frame = self._pending[seq]
-            self._plane.on_map_done(frame, wi, ci, routed, ring_nbytes, inline)
+            frame.wire_bytes += int(wire_nbytes)
             frame.emitted_per_chunk[ci] = emitted
             frame.kept_per_chunk[ci] = kept
             frame.work_per_chunk[ci] = work
@@ -1420,17 +1339,8 @@ class SharedMemoryPoolExecutor:
         """Complete the oldest in-flight frame and cache its result."""
         frame = self._oldest()
         self._seal(frame)
-        spec = frame.spec
-        if self.reduce_mode == "worker":
-            while frame.reduced_received < spec.n_reducers:
-                self._pump()
-            outputs = frame.outputs
-            pairs_per_reducer = frame.pairs_per_reducer
-        else:
-            spec.reducer.initialize()
-            outputs, pairs_per_reducer = merge_partition_runs(
-                spec, frame.runs_per_chunk
-            )
+        while frame.reduced_received < frame.spec.n_reducers:
+            self._pump()
         stats = JobStats()
         works: list[MapWork] = []
         for ci, chunk in enumerate(frame.chunks):
@@ -1457,12 +1367,11 @@ class SharedMemoryPoolExecutor:
             )
         stats.telemetry = self._frame_telemetry(stats, frame)
         frame.result = InProcessResult(
-            outputs=outputs,
+            outputs=frame.outputs,
             stats=stats,
-            pairs_per_reducer=pairs_per_reducer,
+            pairs_per_reducer=frame.pairs_per_reducer,
             works=works,
         )
-        frame.runs_per_chunk = None  # free the fragment memory
         del self._pending[frame.seq]
 
     def _frame_telemetry(self, stats: JobStats, frame: PendingFrame) -> dict:
@@ -1485,7 +1394,6 @@ class SharedMemoryPoolExecutor:
             },
             cache=shared_cache().stats(),
             workers=self.workers,
-            reduce_mode=self.reduce_mode,
             shuffle_mode=self.effective_shuffle_mode,
             pipeline_depth=self.pipeline_depth,
             frame_seq=frame.seq,
@@ -1503,7 +1411,7 @@ class SharedMemoryPoolExecutor:
 
         ``InProcessExecutor.execute`` is built from the identical
         ``map_chunk_to_runs`` / ``merge_partition_runs`` functions the
-        workers and the parent merge run, so delegating to it is the
+        workers run, so delegating to it is the
         fallback path — equivalence by construction, not by mirroring.
         """
         return InProcessExecutor(self.config).execute(spec, chunks, chunk_to_gpu)

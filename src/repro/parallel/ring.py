@@ -1,10 +1,10 @@
 """Single-producer single-consumer shared-memory ring buffers.
 
-Each pool worker owns one ring: the worker (producer) appends the raw
-bytes of its per-chunk fragment runs; the parent (consumer) drains them
-after the matching completion message arrives on the result queue.  The
-ring models the paper's pinned-host fragment buffers that the GPUs
-stream emitted pairs into while the CPU concurrently consumes them.
+Every edge of the mesh shuffle plane (:mod:`repro.parallel.shuffle`) is
+one ring: the mapping worker (producer) appends tagged fragment-run
+records; the owning reducer worker (consumer) drains them.  The ring
+models the fragment buffers the paper's GPUs stream emitted pairs into
+while their peers concurrently consume them.
 
 Layout of the shared segment::
 
@@ -205,7 +205,7 @@ class ShmRing:
         sees the whole concatenation or nothing, with no intermediate
         gather buffer.  The mesh shuffle plane writes each record as
         ``(header, run payload)`` through this, which keeps fragment
-        bytes at a single memcpy just like the uplink-ring path.
+        bytes at a single memcpy.
         """
         bufs = [memoryview(p).cast("B") for p in parts]
         n = sum(len(b) for b in bufs)
@@ -279,17 +279,6 @@ class ShmRing:
             out[first:] = self._data[: n - first].tobytes()
         self._header[_IDX_READ] = np.uint64(r + n)
         return out
-
-    def read_records(
-        self, nbytes: int, dtype: np.dtype, timeout: Optional[float] = 30.0
-    ) -> np.ndarray:
-        """Consume ``nbytes`` and view them as records of ``dtype``."""
-        dtype = np.dtype(dtype)
-        if nbytes % dtype.itemsize:
-            raise ValueError(
-                f"{nbytes} B is not a whole number of {dtype.itemsize}-byte records"
-            )
-        return np.frombuffer(self.read_bytes(nbytes, timeout), dtype=dtype)
 
     # -- plumbing ----------------------------------------------------------
     def _wait(

@@ -1,26 +1,20 @@
-"""The pluggable shuffle plane: who moves fragment runs between processes.
+"""The shuffle plane: how fragment runs move between pool workers.
 
 The paper's GPUs exchange emitted fragments *directly* over the
 interconnect during the shuffle into Sort/Reduce; the parent CPU only
-orchestrates.  This module makes that separation explicit for the pool
-executor: all inter-process movement of run bytes is owned by a
-**shuffle plane** with three interchangeable implementations, selected
-by ``shuffle_mode``:
+orchestrates.  The pool executor keeps that separation: every worker
+maps its chunks, ships each partition's run straight to the worker that
+owns the partition, and Sort+Reduces the partitions it owns.  The
+parent is a pure **control plane** (publish, seal, stitch, teardown).
+Two interchangeable transports carry the runs, selected by
+``shuffle_mode``:
 
-``ParentRoutedShuffle`` (``"parent"``)
-    The PR-2/PR-3 layout, refactored behind the plane interface: every
-    worker streams its bucketed runs up its private SPSC ring to the
-    parent, which (for worker-side reduce) re-ships each partition's
-    chunk-ordered runs down to the owning worker over the pickling task
-    queues.  Simple, but the parent is a serial bandwidth bottleneck —
-    every fragment byte crosses it at least once.
-
-``MeshShuffle`` (``"mesh"``)
+``MeshShuffle`` (``"mesh"``, the default)
     An N×N mesh of SPSC shared-memory rings (one *edge* per ordered
-    worker pair, generalizing :mod:`repro.parallel.ring`): each mapper
-    writes a partition's run **directly** into the owning reducer
-    worker's inbound edge, tagged ``(frame, chunk index, partition)``
-    so the owner can restore chunk order and execute the literal
+    worker pair, see :mod:`repro.parallel.ring`): each mapper writes a
+    partition's run **directly** into the owning reducer worker's
+    inbound edge, tagged ``(frame, chunk index, partition)`` so the
+    owner can restore chunk order and execute the literal
     :func:`~repro.core.executors.merge_partition_runs` — the parent
     never touches run bytes (asserted by the ``parent_run_bytes``
     counter it exports).  Runs a mapper owns itself short-circuit
@@ -42,9 +36,9 @@ by ``shuffle_mode``:
     A dropped connection surfaces as a recoverable
     :class:`~repro.parallel.socketplane.SocketClosed`.
 
-All planes feed byte-identical, chunk-ordered runs into the identical
+Both planes feed byte-identical, chunk-ordered runs into the identical
 reducer code, so outputs are bitwise-equal across planes by
-construction — the plane only decides *which processes the bytes
+construction — the plane only decides *which medium the bytes
 traverse*.
 
 Mesh record protocol
@@ -91,7 +85,6 @@ import numpy as np
 from ..core.executors import ShuffleSpec
 from ..observability.tracer import span
 from .faults import ENV_FAULT_PLAN, resolve_fault_plan
-from .merge import split_runs
 from .ring import _POLL_SECONDS, RingTimeout, ShmRing
 from .supervise import worker_error_to_exception
 
@@ -107,7 +100,6 @@ __all__ = [
     "ENV_WATERMARK_TIMEOUT",
     "MESH_HEADER_NBYTES",
     "MeshShuffle",
-    "ParentRoutedShuffle",
     "PoolConfig",
     "SocketShuffle",
     "WorkerMesh",
@@ -144,6 +136,10 @@ DEFAULT_RING_WRITE_TIMEOUT = 300.0
 #: infrastructure failure before the pool sheds a worker (the
 #: degradation ladder's per-width retry budget).
 DEFAULT_MAX_FRAME_RETRIES = 2
+
+#: Total shared-memory budget of one mesh, split evenly over each
+#: worker's inbound edges (see :meth:`PoolConfig.resolved_edge_capacity`).
+MESH_BUDGET_BYTES = 8 << 20
 
 #: Base of the exponential backoff between recovery attempts, seconds.
 #: Small by default: respawning forked workers is cheap, and the arena
@@ -202,12 +198,9 @@ class PoolConfig:
     rendered output (the parity suites enforce it); they trade memory,
     latency, and failure-detection bounds.
 
-    ring_capacity:
-        Per-worker uplink fragment ring size in bytes (worker → parent).
     mesh_edge_capacity:
         Per-edge mesh ring size in bytes; default
-        ``max(64 KiB, ring_capacity // workers)`` so a full mesh uses
-        about the same memory as the uplink rings.
+        ``max(64 KiB, MESH_BUDGET_BYTES // workers)``.
     ring_write_timeout:
         Seconds a blocked ring **or mesh-edge** write may wait before
         raising :class:`~repro.parallel.ring.RingTimeout` (recovered by
@@ -215,16 +208,12 @@ class PoolConfig:
         ``None`` reads ``$REPRO_RING_WRITE_TIMEOUT``, falling back to
         :data:`DEFAULT_RING_WRITE_TIMEOUT`.
     shuffle_mode:
-        ``"parent"``, ``"mesh"``, ``"tcp"``, or ``"auto"`` (default).
-        Auto reads ``$REPRO_SHUFFLE_MODE`` if set, else picks
-        ``"mesh"`` when the reduce runs on workers (where direct
-        exchange pays) and ``"parent"`` otherwise — auto never picks
-        ``"tcp"``, because on one shared-memory box the shm mesh
-        strictly dominates it; the socket plane is an explicit opt-in
-        for the off-box regime.  Note the direct data planes (mesh,
-        tcp) only materialize under ``reduce_mode="worker"`` — with a
-        parent-side reduce every run's destination *is* the parent, so
-        the uplink rings already are the direct path.
+        ``"mesh"``, ``"tcp"``, or ``"auto"`` (default).  Auto reads
+        ``$REPRO_SHUFFLE_MODE`` if set, else picks ``"mesh"``; it picks
+        ``"tcp"`` only when the parent lacks the file descriptors for a
+        mesh (see :func:`mesh_fd_headroom`), because on one
+        shared-memory box the shm mesh is the measured default and the
+        socket plane is the off-box regime.
     socket_family:
         Address family of the tcp plane's edge streams: ``"unix"``
         (AF_UNIX, default where available) or ``"inet"`` (loopback
@@ -270,7 +259,6 @@ class PoolConfig:
         exit, or stall workers at exact stage boundaries.
     """
 
-    ring_capacity: int = 8 << 20
     mesh_edge_capacity: Optional[int] = None
     ring_write_timeout: Optional[float] = None
     shuffle_mode: str = "auto"
@@ -283,8 +271,6 @@ class PoolConfig:
     fault_plan: Optional[str] = None
 
     def __post_init__(self):
-        if self.ring_capacity < 1:
-            raise ValueError("ring capacity must be positive")
         if self.mesh_edge_capacity is not None and self.mesh_edge_capacity < (
             MESH_HEADER_NBYTES + 1
         ):
@@ -292,7 +278,7 @@ class PoolConfig:
                 f"mesh edge capacity must exceed the {MESH_HEADER_NBYTES}-byte "
                 "record header"
             )
-        if self.shuffle_mode not in ("auto", "parent", "mesh", "tcp"):
+        if self.shuffle_mode not in ("auto", "mesh", "tcp"):
             raise ValueError(f"unknown shuffle_mode {self.shuffle_mode!r}")
         if self.socket_family is not None and self.socket_family not in (
             "unix",
@@ -401,19 +387,17 @@ class PoolConfig:
         (see :func:`repro.parallel.faults.resolve_fault_plan`)."""
         return resolve_fault_plan(self.fault_plan)
 
-    def resolved_shuffle_mode(self, reduce_mode: str) -> str:
+    def resolved_shuffle_mode(self) -> str:
         mode = self.shuffle_mode
         if mode == "auto":
             env = os.environ.get(ENV_SHUFFLE_MODE, "").strip()
             if env:
-                if env not in ("parent", "mesh", "tcp"):
+                if env not in ("mesh", "tcp"):
                     raise ValueError(
-                        f"${ENV_SHUFFLE_MODE}={env!r} must be 'parent', "
-                        "'mesh', or 'tcp'"
+                        f"${ENV_SHUFFLE_MODE}={env!r} must be 'mesh' or 'tcp'"
                     )
                 return env
-            # Auto never picks tcp: on one box the shm mesh dominates.
-            return "mesh" if reduce_mode == "worker" else "parent"
+            return "mesh"
         return mode
 
     def resolved_socket_family(self) -> str:
@@ -438,7 +422,7 @@ class PoolConfig:
     def resolved_edge_capacity(self, workers: int) -> int:
         if self.mesh_edge_capacity is not None:
             return int(self.mesh_edge_capacity)
-        return max(1 << 16, int(self.ring_capacity) // max(1, int(workers)))
+        return max(1 << 16, MESH_BUDGET_BYTES // max(1, int(workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +569,8 @@ class WorkerMesh:
     ) -> list:
         """Wait for frame ``seq``'s completion watermark, then return its
         chunk-ordered runs for this worker's ``owned`` partitions —
-        exactly the ``runs_per_chunk`` layout the parent-routed plane
-        ships, so the downstream merge cannot tell the planes apart.
+        exactly the ``runs_per_chunk`` layout
+        :func:`~repro.core.executors.merge_partition_runs` consumes.
 
         By the control-plane contract this is called only after the
         parent observed every map completion for ``seq`` (sealing), so
@@ -637,101 +621,6 @@ class WorkerMesh:
 # ---------------------------------------------------------------------------
 # Parent-side planes: the control-plane view of the two transports.
 # ---------------------------------------------------------------------------
-class ParentRoutedShuffle:
-    """Today's transport behind the plane interface: runs go worker →
-    (uplink ring) → parent → (task queue) → owning worker.  The parent
-    is on the data path; ``parent_run_bytes`` counts every byte it
-    touched."""
-
-    mode = "parent"
-
-    def __init__(self, pool):
-        self.pool = pool
-        self._ring_base = [
-            ring.counters() for ring in pool._state.get("rings", [])
-        ]
-
-    def start(self) -> None:  # no extra transport to negotiate
-        pass
-
-    # -- data-plane events -------------------------------------------------
-    def on_map_done(self, frame, wi, ci, routed, ring_nbytes, inline) -> None:
-        """Consume one map completion's run payload (ring or inline)."""
-        if inline is not None:
-            pairs = inline
-        else:
-            # Ring bytes are consumed immediately, in per-worker
-            # completion-message order (the ring is FIFO), even when
-            # the message belongs to a newer frame than the one being
-            # collected — frames only reorder at the *result* level.
-            pairs = self.pool._state["rings"][wi].read_records(
-                ring_nbytes, frame.spec.kv.dtype
-            )
-        frame.parent_run_bytes += int(pairs.nbytes)
-        frame.runs_per_chunk[ci] = split_runs(pairs, routed)
-
-    def on_fallback(self, frame, msg) -> None:  # pragma: no cover
-        raise RuntimeError(
-            "mesh_fallback message received on the parent-routed plane"
-        )
-
-    def dispatch_reduce(self, frame) -> None:
-        """Ship each worker the chunk-ordered runs of its owned partitions.
-
-        Ownership comes from the shared :class:`ShuffleSpec` contract —
-        static, so results never depend on scheduling.  The payload is
-        parent-owned memory (ring copies / inline arrays), never arena
-        views, so a later arena republish cannot invalidate it.
-        """
-        pool = self.pool
-        shuf = ShuffleSpec(frame.spec.n_reducers, pool.workers)
-        for wi in range(pool.workers):
-            owned = shuf.owned_partitions(wi)
-            if not owned:
-                continue
-            runs_per_chunk = [
-                [frame.runs_per_chunk[ci][r] for r in owned]
-                for ci in range(frame.n)
-            ]
-            pool._state["task_queues"][wi].put(
-                ("reduce", frame.seq, owned, runs_per_chunk)
-            )
-        # The parent no longer needs the raw runs: free them eagerly so a
-        # deep pipeline holds at most one frame's fragments at a time.
-        frame.runs_per_chunk = [None] * frame.n
-
-    def frame_stats(self, frame) -> dict:
-        """Per-frame backpressure export: producer stall deltas since the
-        previous collect, absolute high-water marks, queue fallbacks."""
-        per_worker = []
-        for wi, ring in enumerate(self.pool._state.get("rings", [])):
-            now = ring.counters()
-            base = self._ring_base[wi]
-            per_worker.append(
-                {
-                    "worker": wi,
-                    "stall_seconds": now["stall_seconds"]
-                    - base["stall_seconds"],
-                    "stall_events": now["stall_events"]
-                    - base["stall_events"],
-                    "high_water_bytes": now["high_water_bytes"],
-                }
-            )
-            self._ring_base[wi] = now
-        return {
-            "shuffle_mode": self.mode,
-            "stall_seconds": sum(w["stall_seconds"] for w in per_worker),
-            "stall_events": sum(w["stall_events"] for w in per_worker),
-            "high_water_bytes": max(
-                (w["high_water_bytes"] for w in per_worker), default=0
-            ),
-            "queue_fallbacks": frame.queue_fallbacks,
-            "parent_run_bytes": frame.parent_run_bytes,
-            "ring_capacity": self.pool.ring_capacity,
-            "per_worker": per_worker,
-        }
-
-
 class MeshShuffle:
     """Direct worker↔worker transport: the parent degrades to a pure
     control plane (publish, seal, stitch, teardown) and never sees a
@@ -780,10 +669,6 @@ class MeshShuffle:
         self._edge_base = {key: r.counters() for key, r in edges.items()}
 
     # -- data-plane events -------------------------------------------------
-    def on_map_done(self, frame, wi, ci, routed, ring_nbytes, inline) -> None:
-        # Run bytes traveled the mesh; nothing for the parent to consume.
-        return None
-
     def on_fallback(self, frame, msg) -> None:
         """Relay one oversized record to its owner over the task queue.
 
@@ -799,20 +684,6 @@ class MeshShuffle:
         self.pool._state["task_queues"][shuf.owner_of(part)].put(
             ("mesh_relay", seq, ci, part, run)
         )
-
-    def dispatch_reduce(self, frame) -> None:
-        """Pure control plane: announce which partitions each worker
-        reduces; the runs are already in (or on their way through) the
-        owner's inbound edges."""
-        pool = self.pool
-        shuf = ShuffleSpec(frame.spec.n_reducers, pool.workers)
-        for wi in range(pool.workers):
-            owned = shuf.owned_partitions(wi)
-            if not owned:
-                continue
-            pool._state["task_queues"][wi].put(
-                ("reduce", frame.seq, owned, None)
-            )
 
     def frame_stats(self, frame) -> dict:
         """Aggregate per-edge backpressure into the JobStats.ring schema:
@@ -871,7 +742,7 @@ class SocketShuffle:
         # Cumulative per-worker counters shipped with each reduce
         # ("shuffle_stats" messages) and the previous-collect baseline,
         # so frame_stats exports deltas with the same "since previous
-        # collect" windowing as the ring/edge planes.
+        # collect" windowing as the mesh plane.
         self._latest: Dict[int, dict] = {}
         self._base: Dict[int, dict] = {}
 
@@ -902,32 +773,6 @@ class SocketShuffle:
             q.put(("socket_attach", dict(addresses)))
 
     # -- data-plane events -------------------------------------------------
-    def on_map_done(self, frame, wi, ci, routed, ring_nbytes, inline) -> None:
-        # Run bytes traveled the sockets; the completion message's
-        # ring_nbytes field carries the sender's bytes-on-wire for this
-        # map (headers included, self-owned runs excluded).
-        frame.wire_bytes += int(ring_nbytes)
-
-    def on_fallback(self, frame, msg) -> None:  # pragma: no cover
-        raise RuntimeError(
-            "mesh_fallback message received on the tcp plane "
-            "(streams have no record-size limit)"
-        )
-
-    def dispatch_reduce(self, frame) -> None:
-        """Pure control plane: announce which partitions each worker
-        reduces; the runs are already in (or on the wire toward) the
-        owner's inbound streams."""
-        pool = self.pool
-        shuf = ShuffleSpec(frame.spec.n_reducers, pool.workers)
-        for wi in range(pool.workers):
-            owned = shuf.owned_partitions(wi)
-            if not owned:
-                continue
-            pool._state["task_queues"][wi].put(
-                ("reduce", frame.seq, owned, None)
-            )
-
     def on_worker_stats(self, wi: int, counters: dict) -> None:
         """Absorb one worker's cumulative socket counters (shipped just
         ahead of its reduce result on the FIFO result queue)."""

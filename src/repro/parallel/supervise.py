@@ -4,15 +4,14 @@ MapReduce's signature robustness property is that failed map/reduce
 tasks are simply re-executed on healthy workers; the paper inherits it
 wholesale (a dead GPU's bricks are re-assigned and re-rendered).  This
 module gives :class:`~repro.parallel.pool.SharedMemoryPoolExecutor`
-the same property on the shared-memory planes:
+the same property on both shuffle planes:
 
 * **Detection** — :func:`dead_workers` is the watchdog primitive the
   executor polls whenever its result queue goes quiet
   (``Process.is_alive`` + exitcode); wedged edges and watermark expiry
-  surface as :class:`~repro.parallel.ring.RingTimeout`, either raised
-  parent-side (uplink-ring reads) or reported by a worker in an error
-  message whose exception-type tag :func:`worker_error_to_exception`
-  classifies.
+  surface as :class:`~repro.parallel.ring.RingTimeout`, reported by a
+  worker in an error message whose exception-type tag
+  :func:`worker_error_to_exception` classifies.
 * **Classification** — :class:`PoolFailure` marks an *infrastructure*
   failure (a dead process, a wedged transport): these are recoverable
   by re-execution, because the inputs are intact and the kernels are
@@ -111,8 +110,8 @@ def classify_failure(exc: BaseException) -> Optional[PoolFailure]:
     if isinstance(exc, PoolFailure):
         return exc
     if isinstance(exc, RingTimeout):
-        # Parent-side timeout draining an uplink ring: the producing
-        # worker stopped publishing mid-stream.
+        # A ring wait expired in this process: the peer on the other
+        # end of the edge stopped making progress.
         return PoolFailure(str(exc), kind="wedged", stage="shuffle-out")
     # Deferred import: socketplane sits above shuffle, which imports
     # this module at load time.

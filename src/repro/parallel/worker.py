@@ -2,11 +2,12 @@
 state machine.
 
 Each worker is the multiprocess stand-in for one of the paper's GPUs.
-At startup it (optionally) pins itself to its assigned core, then — on
-the mesh shuffle plane — allocates its *inbound* edge rings (after
-pinning, so first touch lands on the local node) and reports their
-names to the parent.  Its loop then consumes control messages from a
-per-worker task queue:
+At startup it (optionally) pins itself to its assigned core, then
+brings up its half of the shuffle plane — on the mesh, it allocates its
+*inbound* edge rings (after pinning, so first touch lands on the local
+node) and reports their names to the parent; on the tcp plane, it
+opens its listener and reports the address.  Its loop then consumes
+control messages from a per-worker task queue:
 
 ``("arena", ArenaSpec|None)``
     (Re)attach the published chunk/transfer-function arena.  Macro-cell
@@ -33,28 +34,24 @@ per-worker task queue:
     ``payload`` is ``None`` for workers on host 0 (the chunk is mapped
     zero-copy from the arena) and the chunk's ndarray for off-host
     workers, whose "host" has no shared segment.  **Shuffle-out**
-    follows immediately: on the parent-routed plane the bucketed runs
-    stream up this worker's uplink ring (counters travel on the result
-    queue); on the direct planes (mesh edges / socket streams) each
-    partition's run goes *directly* to the owning worker, tagged
+    follows immediately: each partition's run goes *directly* to the
+    owning worker over the mesh edges or socket streams, tagged
     ``(frame, chunk, partition)`` — the parent sees counters only.
 ``("mesh_relay", frame_seq, chunk_index, partition, run)``
     An oversized record another mapper could not fit through its edge,
     relayed by the parent (control-plane escape hatch).  Stashed like
     any other inbound record; arrives before the frame's reduce
     message by queue order.
-``("reduce", frame_seq, owned_partitions, runs_per_chunk|None)``
+``("reduce", frame_seq, owned_partitions)``
     Run Sort + Reduce for this worker's *owned* reducer partitions —
     the paper's symmetric half, where the same devices that mapped also
-    reduce.  On the parent-routed plane ``runs_per_chunk`` holds the
-    chunk-ordered runs (renumbered ``0..n-1``); on the mesh plane it is
-    ``None`` and **shuffle-in** happens here: the worker drains its
-    inbound edges until frame ``seq``'s completion watermark
-    (``n_chunks × owned`` records, empty runs included) is reached,
-    restores chunk order from the record tags, and executes the
-    **literal** :func:`~repro.core.executors.merge_partition_runs` the
-    parent would have run, shipping back composited per-partition
-    ``(keys, values)`` outputs instead of raw fragments.
+    reduce.  **Shuffle-in** happens here: the worker drains its inbound
+    edges until frame ``seq``'s completion watermark (``n_chunks ×
+    owned`` records, empty runs included) is reached, restores chunk
+    order from the record tags, and executes the **literal**
+    :func:`~repro.core.executors.merge_partition_runs` the serial
+    executor runs, shipping back composited per-partition ``(keys,
+    values)`` outputs instead of raw fragments.
 ``("stop",)``
     Detach everything and exit.
 
@@ -93,7 +90,6 @@ from ..observability.tracer import (
     span,
 )
 from .faults import FaultPlan
-from .ring import ShmRing
 from .shm import ArenaSpec, ArenaView
 from .shuffle import DEFAULT_RING_WRITE_TIMEOUT, WorkerMesh
 from .socketplane import SocketMesh
@@ -130,20 +126,12 @@ class FrameContext:
     tf_ref: Optional[tuple] = None  # (vmin, vmax) when the table is in the arena
 
     @classmethod
-    def from_spec(
-        cls,
-        spec: MapReduceSpec,
-        include_reducer: bool = False,
-        n_chunks: int = 0,
-    ) -> "FrameContext":
-        # The reducer rides along only when workers will actually reduce
-        # (reduce_mode="worker"); parent-mode jobs keep working even with
-        # reducers that cannot be pickled.
+    def from_spec(cls, spec: MapReduceSpec, n_chunks: int = 0) -> "FrameContext":
         return cls(
             mapper=spec.mapper,
             partitioner=spec.partitioner,
             combiner=spec.combiner,
-            reducer=spec.reducer if include_reducer else None,
+            reducer=spec.reducer,
             kv=spec.kv,
             max_key=spec.max_key,
             n_reducers=spec.n_reducers,
@@ -187,9 +175,7 @@ def _handle_map(
     worker_id: int,
     ctx: FrameContext,
     view: ArenaView,
-    ring: ShmRing,
-    mesh,  # WorkerMesh | SocketMesh | None (duck-typed)
-    write_timeout: float,
+    mesh,  # WorkerMesh | SocketMesh (duck-typed)
     result_queue,
     msg: tuple,
     faults: Optional[FaultPlan] = None,
@@ -197,12 +183,10 @@ def _handle_map(
 ) -> None:
     """Run one map task, then shuffle its runs out.
 
-    Mesh plane: one record per ``(chunk, partition)`` straight to the
-    owner's inbound edge (oversized records fall back through the
-    parent queue and are counted).  Parent plane: raw run bytes stream
-    up the uplink ring, with the whole chunk falling back inline on the
-    result queue when it outgrows the ring.  Either way the "done"
-    message carries only counters.
+    One record per ``(chunk, partition)`` goes straight to the owner's
+    inbound edge or stream (an oversized mesh record falls back through
+    the parent queue and is counted).  The "done" message carries only
+    counters.
     """
     _, seq, ci, chunk_id, nbytes, on_disk, meta, payload = msg
     try:
@@ -224,52 +208,27 @@ def _handle_map(
             if faults is not None:
                 faults.fire("shuffle-out", worker_id, seq, chunk=ci)
             fallbacks = 0
-            if mesh is not None:
-                # Shuffle-out over the mesh/sockets: run bytes never
-                # touch the parent.
-                shuf = ShuffleSpec(ctx.n_reducers, mesh.n_workers)
-                wire_base = getattr(mesh, "bytes_sent", None)
-                for part, run in enumerate(runs):
-                    run = np.ascontiguousarray(run)
-                    if not mesh.send(seq, ci, part, run, shuf.owner_of(part)):
-                        # Record too large for its edge: relay through the
-                        # parent's control plane rather than deadlock.
-                        # (Shm edges only — socket sends always succeed.)
-                        result_queue.put(
-                            ("mesh_fallback", worker_id, seq, ci, part, run)
-                        )
-                        fallbacks += 1
-                inline = None
-                # On the socket plane the completion message's byte
-                # field reports this map's bytes-on-wire (headers
-                # included, self-owned runs excluded); the shm mesh
-                # keeps reporting 0 here — its traffic counters live in
-                # the edge rings the parent already holds.
-                ring_nbytes = (
-                    mesh.bytes_sent - wire_base
-                    if wire_base is not None
-                    else 0
-                )
-            else:
-                total = int(sum(run.nbytes for run in runs))
-                if total <= ring.capacity:
-                    # Fast path: stream raw run bytes through the ring
-                    # (reducer order), publish only counts on the queue.
-                    for run in runs:
-                        if len(run):
-                            ring.write_bytes(
-                                np.ascontiguousarray(run),
-                                timeout=write_timeout,
-                            )
-                    inline = None
-                    ring_nbytes = total
-                else:
-                    # A single chunk outgrew the ring: fall back to the
-                    # (pickling) queue rather than deadlock.
-                    inline = np.concatenate(runs) if kept else None
-                    ring_nbytes = 0
-                    fallbacks = 1
-            sp.set(bytes=ring_nbytes, fallbacks=fallbacks)
+            shuf = ShuffleSpec(ctx.n_reducers, mesh.n_workers)
+            wire_base = getattr(mesh, "bytes_sent", None)
+            for part, run in enumerate(runs):
+                run = np.ascontiguousarray(run)
+                if not mesh.send(seq, ci, part, run, shuf.owner_of(part)):
+                    # Record too large for its edge: relay through the
+                    # parent's control plane rather than deadlock.
+                    # (Shm edges only — socket sends always succeed.)
+                    result_queue.put(
+                        ("mesh_fallback", worker_id, seq, ci, part, run)
+                    )
+                    fallbacks += 1
+            # On the socket plane the completion message's byte field
+            # reports this map's bytes-on-wire (headers included,
+            # self-owned runs excluded); the shm mesh reports 0 here —
+            # its traffic counters live in the edge rings the parent
+            # already holds.
+            wire_nbytes = (
+                mesh.bytes_sent - wire_base if wire_base is not None else 0
+            )
+            sp.set(bytes=wire_nbytes, fallbacks=fallbacks)
         if flush_spans is not None:
             flush_spans()
         result_queue.put(
@@ -282,8 +241,7 @@ def _handle_map(
                 kept,
                 work,
                 routed.tolist(),
-                ring_nbytes,
-                inline,
+                wire_nbytes,
                 fallbacks,
             )
         )
@@ -307,32 +265,27 @@ def _handle_map(
 def _handle_reduce(
     worker_id: int,
     ctx: FrameContext,
-    mesh,  # WorkerMesh | SocketMesh | None (duck-typed)
+    mesh,  # WorkerMesh | SocketMesh (duck-typed)
     result_queue,
     msg: tuple,
     faults: Optional[FaultPlan] = None,
     flush_spans=None,
 ) -> None:
-    """Sort + Reduce this worker's owned partitions for one frame.
+    """Shuffle-in, then Sort + Reduce this worker's owned partitions.
 
-    Runs the literal parent-side :func:`merge_partition_runs` over a
-    :class:`PartitionReduceSpec` view in which the owned partitions are
-    renumbered ``0..n-1`` — bitwise parity with parent-side reduce by
-    construction.  On the mesh plane the runs payload is ``None`` and
-    shuffle-in happens here: drain inbound edges to the frame's
-    watermark, then restore chunk order from the record tags.
+    Drains inbound edges to the frame's watermark, restores chunk order
+    from the record tags, and runs the literal serial-executor
+    :func:`merge_partition_runs` over a :class:`PartitionReduceSpec`
+    view in which the owned partitions are renumbered ``0..n-1`` —
+    bitwise parity with :class:`~repro.core.executors.InProcessExecutor`
+    by construction.
     """
-    _, seq, owned, runs_per_chunk = msg
+    _, seq, owned = msg
     try:
         if faults is not None:
             faults.fire("shuffle-in", worker_id, seq)
-        if runs_per_chunk is None:
-            # Shuffle-in proper: take_frame records the span around the
-            # watermark drain (parent-plane runs arrive with the message,
-            # so there is no wait to trace on that plane).
-            runs_per_chunk = mesh.take_frame(
-                seq, owned, ctx.n_chunks, ctx.kv.dtype
-            )
+        # take_frame records the shuffle-in span around the watermark drain.
+        runs_per_chunk = mesh.take_frame(seq, owned, ctx.n_chunks, ctx.kv.dtype)
         if faults is not None:
             faults.fire("reduce", worker_id, seq)
         ctx.reducer.initialize()
@@ -425,8 +378,6 @@ def _next_message(task_queue, mesh):
     napping owner can never turn a blocked peer's normal backpressure
     into a spurious RingTimeout.
     """
-    if mesh is None:
-        return task_queue.get()
     timeout = 0.005
     cap = max(0.005, min(0.1, mesh.write_timeout / 10.0))
     while True:
@@ -442,24 +393,22 @@ def worker_main(
     worker_id: int,
     task_queue,
     result_queue,
-    ring_name: Optional[str],
-    cfg: Optional[dict] = None,
+    cfg: dict,
 ) -> None:
     """Entry point of one pool worker process.
 
     ``cfg`` carries the transport configuration resolved by the parent:
     ``pin_cpu`` (core to pin to, or None), ``write_timeout`` (shared by
-    the uplink ring and every mesh edge), ``watermark_timeout`` (the
-    mesh frame-completion bound), ``fault_plan``/``spawn_gen`` (the
+    every mesh edge and socket stream), ``watermark_timeout`` (the
+    frame-completion bound), ``fault_plan``/``spawn_gen`` (the
     deterministic fault-injection plan and this process's spawn
     generation — see :mod:`repro.parallel.faults`), ``kernel`` (the
     march-kernel backend to resolve and JIT-warm once at spawn; None
-    skips), and — when the mesh plane is active —
-    ``mesh_active``/``n_workers``/``edge_capacity``.
+    skips), ``n_workers``, and the plane: ``mesh_active`` with
+    ``edge_capacity``/``mesh_token``, or ``socket_active`` with
+    ``socket_token``/``socket_family``.
     Pinning happens **before** the inbound mesh edges are created so
     their pages are first-touched on the pinned core's NUMA node.
-    ``ring_name`` is the uplink ring (parent-routed plane only; None on
-    the mesh plane, where run bytes travel the edges instead).
 
     An external SIGTERM is converted to ``SystemExit`` so the
     ``finally`` teardown below still runs: the dying worker detaches
@@ -467,8 +416,6 @@ def worker_main(
     edges instead of leaving everything to the parent's deterministic
     -name sweep.  The sweep remains the backstop for SIGKILL/crash.
     """
-    cfg = cfg or {}
-
     def _graceful_term(signum, frame):  # pragma: no cover - signal path
         raise SystemExit(128 + int(signum))
 
@@ -499,10 +446,8 @@ def worker_main(
     # The plan was validated in the parent; bind this process's spawn
     # generation so rules default to firing only on the first attempt.
     faults = FaultPlan.parse(cfg.get("fault_plan"), generation=spawn_gen)
-    ring = ShmRing.attach(ring_name) if ring_name is not None else None
-    # Either direct-plane transport binds here; the two duck-type the
-    # same poll/send/take_frame/close surface for the loop below.
-    mesh = None  # WorkerMesh | SocketMesh | None
+    # Either transport binds here; the two duck-type the same
+    # poll/send/take_frame/close surface for the loop below.
     if cfg.get("mesh_active"):
         mesh = WorkerMesh(
             worker_id,
@@ -515,7 +460,7 @@ def worker_main(
         # Report the inbound edge names; the parent attaches (adopting
         # unlink duty) and broadcasts each worker its outbound row.
         result_queue.put(("mesh_ready", worker_id, mesh.inbound_names))
-    elif cfg.get("socket_active"):
+    else:
         mesh = SocketMesh(
             worker_id,
             int(cfg["n_workers"]),
@@ -595,15 +540,7 @@ def worker_main(
                 # fragment runs) are released as soon as it returns — the
                 # final unmap in the ``finally`` below must see no views.
                 _handle_map(
-                    worker_id,
-                    ctx,
-                    view,
-                    ring,
-                    mesh,
-                    write_timeout,
-                    result_queue,
-                    msg,
-                    faults,
+                    worker_id, ctx, view, mesh, result_queue, msg, faults,
                     flush_spans,
                 )
             elif kind == "mesh_relay":
@@ -613,9 +550,8 @@ def worker_main(
                 mesh.stash_relay(seq, ci, part, run)
             elif kind == "reduce":
                 # Worker-side Sort+Reduce of the partitions this worker
-                # owns; parent-plane payloads are parent-copied memory,
-                # mesh payloads live in this worker's stash — neither is
-                # an arena view, so both are ordering-safe w.r.t. arena
+                # owns; the runs live in this worker's stash, never in
+                # an arena view, so they are ordering-safe w.r.t. arena
                 # republish.
                 _handle_reduce(
                     worker_id, ctx, mesh, result_queue, msg, faults, flush_spans
@@ -635,7 +571,4 @@ def worker_main(
         _evict_seeded(seeded)
         if view is not None:
             view.close()
-        if mesh is not None:
-            mesh.close()
-        if ring is not None:
-            ring.close()
+        mesh.close()

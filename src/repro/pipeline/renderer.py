@@ -102,26 +102,23 @@ class MapReduceVolumeRenderer:
         ``"pool"`` (the :mod:`repro.parallel` shared-memory multiprocess
         executor, ``workers`` processes — default one per simulated GPU
         capped to the machine's cores), or any object exposing
-        ``execute(spec, chunks, chunk_to_gpu)``.  Pool renderers should
-        be closed (or used as context managers) to release worker
-        processes and shared memory.
+        ``execute(spec, chunks, chunk_to_gpu)``.  The executor is built
+        here, so a misconfigured pool raises at construction; its
+        worker processes start with the first frame.  Pool renderers
+        should be closed (or used as context managers) to release
+        worker processes and shared memory.
     reduce_mode:
-        Where the pool executor runs Sort+Reduce: ``"parent"`` (default)
-        or ``"worker"`` (each worker reduces its owned partitions and
-        ships back composited pixel spans — the paper's symmetric
-        layout).  Bitwise-identical output either way; ignored by the
-        in-process executor, which is its own single device.
+        Accepts only ``"worker"`` (the default): pool workers always
+        Sort+Reduce the partitions they own and ship back composited
+        pixel spans — the paper's symmetric layout.
     shuffle_mode:
-        Which shuffle plane moves fragment runs between pool processes:
-        ``"parent"`` (runs route through the parent, the PR-2/3
-        layout), ``"mesh"`` (direct worker↔worker shared-memory edge
-        rings — the paper's GPUs exchanging fragments over the
-        interconnect, parent demoted to a pure control plane), ``"tcp"``
-        (the same record protocol streamed worker↔worker over
-        AF_UNIX/TCP sockets — the multi-host regime; requires
-        ``reduce_mode="worker"``), or ``"auto"`` (default: mesh exactly
-        when workers reduce; never tcp).  Bitwise-identical output on
-        every plane.
+        Which shuffle plane moves fragment runs between pool workers:
+        ``"mesh"`` (direct worker↔worker shared-memory edge rings — the
+        paper's GPUs exchanging fragments over the interconnect, the
+        parent a pure control plane), ``"tcp"`` (the same record
+        protocol streamed worker↔worker over AF_UNIX/TCP sockets — the
+        multi-host regime), or ``"auto"`` (default: mesh).
+        Bitwise-identical output on every plane.
     host_spec:
         Socket-plane host placement (tcp only): an int (workers spread
         round-robin over that many "hosts") or a comma-separated/id
@@ -178,7 +175,7 @@ class MapReduceVolumeRenderer:
         partitioner_factory: Optional[Callable[[int], Partitioner]] = None,
         executor: str | object = "inprocess",
         workers: Optional[int] = None,
-        reduce_mode: str = "parent",
+        reduce_mode: str = "worker",
         pipeline_depth: int = 1,
         shuffle_mode: str = "auto",
         host_spec=None,
@@ -226,96 +223,75 @@ class MapReduceVolumeRenderer:
         self.job_config = job_config if job_config is not None else JobConfig()
         self.kv = KVSpec(FRAGMENT_DTYPE, key_field="pixel")
         self._partitioner_factory = partitioner_factory or RoundRobinPartitioner
-        if isinstance(executor, str) and executor not in ("inprocess", "pool"):
+        if reduce_mode != "worker":
+            raise ValueError(
+                f"unknown reduce_mode {reduce_mode!r}: pool workers always "
+                "reduce their own partitions ('worker')"
+            )
+        # The functional executor, reused across frames.  ``"pool"``
+        # places one worker per simulated GPU by default (capped to the
+        # machine's cores), so the ``chunk_to_gpu`` placement the
+        # library already records maps straight onto real processes.
+        if executor == "pool":
+            from ..parallel import SharedMemoryPoolExecutor, default_pool_workers
+
+            executor = SharedMemoryPoolExecutor(
+                workers=(
+                    workers
+                    if workers is not None
+                    else default_pool_workers(self.n_gpus)
+                ),
+                config=self.job_config,
+                pipeline_depth=pipeline_depth,
+                shuffle_mode=shuffle_mode,
+                host_spec=host_spec,
+                pin_workers=pin_workers,
+                supervise=supervise,
+                max_frame_retries=max_frame_retries,
+                fault_plan=fault_plan,
+                kernel=self.render_config.kernel,
+            )
+        elif executor == "inprocess":
+            executor = InProcessExecutor(self.job_config)
+        elif isinstance(executor, str):
             raise ValueError(f"unknown executor {executor!r}")
-        if reduce_mode not in ("parent", "worker"):
-            raise ValueError(f"unknown reduce_mode {reduce_mode!r}")
-        if shuffle_mode not in ("auto", "parent", "mesh", "tcp"):
-            raise ValueError(f"unknown shuffle_mode {shuffle_mode!r}")
-        if pipeline_depth < 1:
-            raise ValueError("pipeline depth must be at least 1")
-        self.executor = executor
-        self.workers = workers
-        self.reduce_mode = reduce_mode
-        self.shuffle_mode = shuffle_mode
-        self.host_spec = host_spec
-        self.pin_workers = bool(pin_workers)
-        self.pipeline_depth = int(pipeline_depth)
-        self.supervise = supervise
-        self.max_frame_retries = max_frame_retries
-        self.fault_plan = fault_plan
-        self._exec_instance = None
+        self._exec_instance = executor
 
     @property
     def n_gpus(self) -> int:
         return self.cluster_spec.gpu_count
 
     # -- executor lifecycle ------------------------------------------------
-    def _executor(self):
-        """The functional executor (created lazily, reused across frames).
-
-        ``executor="pool"`` builds a
-        :class:`~repro.parallel.SharedMemoryPoolExecutor` with one worker
-        per simulated GPU by default (capped to the machine's cores), so
-        the ``chunk_to_gpu`` placement the library already records maps
-        straight onto real processes.  Any object with a compatible
-        ``execute`` method is also accepted.
-        """
-        if self._exec_instance is None:
-            if not isinstance(self.executor, str):
-                self._exec_instance = self.executor
-            elif self.executor == "pool":
-                from ..parallel import SharedMemoryPoolExecutor, default_pool_workers
-
-                workers = self.workers
-                if workers is None:
-                    workers = default_pool_workers(self.n_gpus)
-                self._exec_instance = SharedMemoryPoolExecutor(
-                    workers=workers,
-                    config=self.job_config,
-                    reduce_mode=self.reduce_mode,
-                    pipeline_depth=self.pipeline_depth,
-                    shuffle_mode=self.shuffle_mode,
-                    host_spec=self.host_spec,
-                    pin_workers=self.pin_workers,
-                    supervise=self.supervise,
-                    max_frame_retries=self.max_frame_retries,
-                    fault_plan=self.fault_plan,
-                    kernel=self.render_config.kernel,
-                )
-            else:
-                self._exec_instance = InProcessExecutor(self.job_config)
-        return self._exec_instance
-
     @property
     def executor_workers(self) -> Optional[int]:
-        """Worker count of the active executor (None when serial or not
-        yet instantiated) — what a pool render actually ran with."""
+        """Worker count of the executor (None when serial) — what a pool
+        render actually runs with."""
         return getattr(self._exec_instance, "workers", None)
 
     @property
     def executor_shuffle_mode(self) -> Optional[str]:
-        """Effective shuffle plane of the active executor (``"parent"``,
-        ``"mesh"``, or ``"tcp"``; None when serial or not yet
-        instantiated) — the plane that actually carries run bytes, which
-        is what ``JobStats.ring["shuffle_mode"]`` reports too (a mesh
-        request under parent-side reduce degenerates to ``"parent"``)."""
+        """Effective shuffle plane of the executor (``"mesh"`` or
+        ``"tcp"``; None when serial) — the plane that actually carries
+        run bytes, which is what ``JobStats.ring["shuffle_mode"]``
+        reports too."""
         return getattr(self._exec_instance, "effective_shuffle_mode", None)
 
     @property
     def executor_recovery_summary(self) -> list[str]:
-        """Human-readable recovery ledger of the active pool executor
-        (empty for failure-free runs, serial executors, or before the
-        pool is instantiated) — what the CLI prints after a render."""
+        """Human-readable recovery ledger of the pool executor (empty for
+        failure-free runs and serial executors) — what the CLI prints
+        after a render."""
         sup = getattr(self._exec_instance, "_supervisor", None)
         return sup.summary_lines() if sup is not None else []
 
     def close(self) -> None:
-        """Shut down the executor (worker processes, shared memory)."""
-        inst = self._exec_instance
-        self._exec_instance = None
-        if inst is not None and hasattr(inst, "close"):
-            inst.close()
+        """Shut down the executor (worker processes, shared memory).
+
+        A pool restarts its workers on the next frame, so the renderer
+        stays usable after ``close()``.
+        """
+        if hasattr(self._exec_instance, "close"):
+            self._exec_instance.close()
 
     def __enter__(self) -> "MapReduceVolumeRenderer":
         return self
@@ -453,7 +429,7 @@ class MapReduceVolumeRenderer:
         spec = self._spec(camera)
         chunks = self._chunks(grid, out_of_core)
         chunk_to_gpu = [c.id % self.n_gpus for c in chunks]
-        ex = self._executor()
+        ex = self._exec_instance
         if hasattr(ex, "submit") and hasattr(ex, "collect"):
             return FrameHandle(camera, grid, ex.submit(spec, chunks, chunk_to_gpu), True)
         return FrameHandle(camera, grid, ex.execute(spec, chunks, chunk_to_gpu), False)
@@ -467,7 +443,7 @@ class MapReduceVolumeRenderer:
         if mode not in ("exec", "both"):
             raise ValueError(f"unknown mode {mode!r} for collect_frame")
         if handle.asynchronous:
-            result = self._executor().collect(handle.pending)
+            result = self._exec_instance.collect(handle.pending)
         else:
             result = handle.pending
         return self._finish_exec(handle.camera, mode, handle.grid, result)
@@ -475,7 +451,7 @@ class MapReduceVolumeRenderer:
     @property
     def frame_pipeline_depth(self) -> int:
         """Frames the active executor can keep in flight (1 = serial)."""
-        ex = self._executor()
+        ex = self._exec_instance
         if hasattr(ex, "submit") and hasattr(ex, "collect"):
             return int(getattr(ex, "pipeline_depth", 1))
         return 1

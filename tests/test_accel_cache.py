@@ -117,7 +117,7 @@ def test_invalidate_volume_end_to_end_pool_arena():
 
     with MapReduceVolumeRenderer(
         volume=vol, cluster=2, render_config=cfg,
-        executor="pool", workers=2, reduce_mode="worker",
+        executor="pool", workers=2,
     ) as rp:
         before = rp.render(cam, mode="exec").image
         vol.data[:10, :10, :10] = float(vol.data.max())

@@ -2,14 +2,13 @@
 
 Small deterministic rendered fixtures (cameras × transfer functions ×
 brick layouts, float32 arrays in ``tests/golden/*.npz``) pin the exact
-output of the functional pipeline.  Every executor / reduce-mode /
-shuffle-mode / pipeline-depth combination — and every empty-space
-acceleration setting (``accel`` off / corner-max table / macro-cell
-grid) — must reproduce them **bitwise**: neither the concurrency
-machinery (worker scheduling, ring streaming, worker-side reduce
-placement, the parent-routed vs mesh shuffle plane, frame pipelining)
-nor the skip structures may leak into the image or the deterministic
-counters.
+output of the functional pipeline.  Every executor / shuffle-mode /
+pipeline-depth combination — and every empty-space acceleration
+setting (``accel`` off / corner-max table / macro-cell grid) — must
+reproduce them **bitwise**: neither the concurrency machinery (worker
+scheduling, worker-side reduce, the mesh vs tcp shuffle plane, frame
+pipelining) nor the skip structures may leak into the image or the
+deterministic counters.
 
 The pipeline is pure NumPy (float32 IEEE ops, stable sorts), so the
 fixtures are reproducible across runs and processes.  If an intentional
@@ -170,12 +169,11 @@ def test_inprocess_accel_modes_match_golden(scene, accel):
     assert_matches_golden(scene, image, result)
 
 
-@pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
-def test_pool_grid_accel_matches_golden(reduce_mode):
+def test_pool_grid_accel_matches_golden():
     """The grid-accelerated path through the pool executor (arena-shipped
-    grids, worker-seeded caches), in both reduce modes."""
+    grids, worker-seeded caches)."""
     job = build_job("skull_default_az40", accel="grid", macro_cell_size=4)
-    with SharedMemoryPoolExecutor(workers=2, reduce_mode=reduce_mode) as pool:
+    with SharedMemoryPoolExecutor(workers=2) as pool:
         image, result = run_job(pool, *job)
         # second render hits the resident arena + seeded worker caches
         image2, result2 = run_job(pool, *job)
@@ -183,41 +181,29 @@ def test_pool_grid_accel_matches_golden(reduce_mode):
     assert_matches_golden("skull_default_az40", image2, result2)
 
 
-@pytest.mark.parametrize("shuffle_mode", ["parent", "mesh", "tcp"])
+@pytest.mark.parametrize("shuffle_mode", ["mesh", "tcp"])
 @pytest.mark.parametrize("scene", sorted(SCENES))
 def test_pool_worker_reduce_matches_golden(scene, shuffle_mode):
-    """Worker-side reduce over all three shuffle planes: the
-    parent-routed transport, the direct worker↔worker mesh, and the
-    socket streams must reproduce the fixtures bitwise — the plane only
-    decides which processes the run bytes traverse, never what they
-    decode to."""
-    with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode=shuffle_mode
-    ) as pool:
+    """Worker-side reduce over both shuffle planes: the direct
+    worker↔worker mesh and the socket streams must reproduce the
+    fixtures bitwise — the plane only decides which medium the run
+    bytes traverse, never what they decode to."""
+    with SharedMemoryPoolExecutor(workers=2, shuffle_mode=shuffle_mode) as pool:
         image, result = render_scene(scene, pool)
         assert result.stats.ring["shuffle_mode"] == shuffle_mode
-        if shuffle_mode in ("mesh", "tcp"):
-            # The control-plane guarantee: zero run bytes crossed the
-            # parent on the way to the reducers.
-            assert result.stats.ring["parent_run_bytes"] == 0
+        # The control-plane guarantee: zero run bytes crossed the
+        # parent on the way to the reducers.
+        assert result.stats.ring["parent_run_bytes"] == 0
         if shuffle_mode == "tcp":
             assert result.stats.ring["wire_bytes_total"] > 0
     assert_matches_golden(scene, image, result)
-
-
-def test_pool_parent_reduce_pipelined_matches_golden():
-    with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="parent", pipeline_depth=2
-    ) as pool:
-        image, result = render_scene("skull_default_az40", pool)
-    assert_matches_golden("skull_default_az40", image, result)
 
 
 def test_pool_mesh_pipelined_matches_golden():
     """Depth-2 pipelining over the mesh plane: per-frame watermarks keep
     interleaved in-flight frames bitwise-correct."""
     with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh", pipeline_depth=2
+        workers=2, shuffle_mode="mesh", pipeline_depth=2
     ) as pool:
         image, result = render_scene("skull_default_az40", pool)
         image2, result2 = render_scene("skull_default_az130", pool)
@@ -232,7 +218,7 @@ def test_pool_serial_fallback_matches_golden():
 
 
 # -- crash + in-place recovery must also be bitwise ---------------------------
-def _render_with_crash(scene, shuffle_mode, reduce_mode, pipeline_depth,
+def _render_with_crash(scene, shuffle_mode, pipeline_depth,
                        fault_plan="crash@map:worker=0,frame=1"):
     """Render ``scene`` with an injected mid-frame fault: the supervisor
     recycles the transport epoch, re-attaches the surviving arena, and
@@ -241,7 +227,6 @@ def _render_with_crash(scene, shuffle_mode, reduce_mode, pipeline_depth,
     before = set(glob.glob("/dev/shm/*"))
     with SharedMemoryPoolExecutor(
         workers=2,
-        reduce_mode=reduce_mode,
         shuffle_mode=shuffle_mode,
         pipeline_depth=pipeline_depth,
         fault_plan=fault_plan,
@@ -262,28 +247,21 @@ def _render_with_crash(scene, shuffle_mode, reduce_mode, pipeline_depth,
 
 def test_pool_crash_recovery_matches_golden_smoke():
     """Tier-1 canary for the slow recovery matrix below."""
-    _render_with_crash("skull_default_az40", "mesh", "worker", 1)
+    _render_with_crash("skull_default_az40", "mesh", 1)
 
 
 def test_pool_tcp_crash_recovery_matches_golden_smoke():
     """Socket-plane canary: a mid-frame crash drops the worker's
     connections (peers see SocketClosed, not just a missing process),
     and the recovered render must still be bitwise-golden."""
-    _render_with_crash("skull_default_az40", "tcp", "worker", 1)
+    _render_with_crash("skull_default_az40", "tcp", 1)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("shuffle_mode,reduce_mode", [
-    ("parent", "parent"), ("parent", "worker"), ("mesh", "worker"),
-    ("tcp", "worker"),
-])
+@pytest.mark.parametrize("shuffle_mode", ["mesh", "tcp"])
 @pytest.mark.parametrize("pipeline_depth", [1, 2])
-def test_pool_crash_recovery_matrix_matches_golden(
-    shuffle_mode, reduce_mode, pipeline_depth
-):
-    _render_with_crash(
-        "skull_default_az40", shuffle_mode, reduce_mode, pipeline_depth
-    )
+def test_pool_crash_recovery_matrix_matches_golden(shuffle_mode, pipeline_depth):
+    _render_with_crash("skull_default_az40", shuffle_mode, pipeline_depth)
 
 
 @pytest.mark.slow
@@ -292,20 +270,19 @@ def test_pool_crash_recovery_matrix_matches_golden(
     "crash@reduce:worker=0,frame=1",
 ])
 def test_pool_crash_recovery_other_stages_match_golden(fault_plan):
-    _render_with_crash(
-        "skull_default_az40", "mesh", "worker", 1, fault_plan=fault_plan
-    )
+    _render_with_crash("skull_default_az40", "mesh", 1, fault_plan=fault_plan)
 
 
-# -- slow: the full executor × reduce-mode × depth × workers matrix ----------
+# -- slow: the full executor × depth × workers matrix --------------------------
+# These pools leave shuffle_mode on "auto", so the CI slow matrix runs them
+# on each plane in turn through $REPRO_SHUFFLE_MODE.
 @pytest.mark.slow
 @pytest.mark.parametrize("scene", sorted(SCENES))
 @pytest.mark.parametrize("accel", ["off", "grid"])
-@pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
-def test_pool_accel_matrix_matches_golden(scene, accel, reduce_mode):
+def test_pool_accel_matrix_matches_golden(scene, accel):
     """Grid-accelerated vs accel-off through the pool, all scenes."""
     job = build_job(scene, accel=accel, macro_cell_size=4)
-    with SharedMemoryPoolExecutor(workers=2, reduce_mode=reduce_mode) as pool:
+    with SharedMemoryPoolExecutor(workers=2) as pool:
         image, result = run_job(pool, *job)
     assert_matches_golden(scene, image, result)
 
@@ -313,23 +290,11 @@ def test_pool_accel_matrix_matches_golden(scene, accel, reduce_mode):
 @pytest.mark.slow
 @pytest.mark.parametrize("scene", sorted(SCENES))
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("shuffle_mode", ["parent", "mesh"])
-@pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
 @pytest.mark.parametrize("pipeline_depth", [1, 2])
-def test_pool_matrix_matches_golden(
-    scene, workers, shuffle_mode, reduce_mode, pipeline_depth
-):
-    if shuffle_mode == "mesh" and reduce_mode == "parent":
-        pytest.skip(
-            "mesh never materializes under a parent-side reduce "
-            "(identical code path to the parent plane)"
-        )
+def test_pool_matrix_matches_golden(scene, workers, pipeline_depth):
     job = build_job(scene)
     with SharedMemoryPoolExecutor(
-        workers=workers,
-        reduce_mode=reduce_mode,
-        shuffle_mode=shuffle_mode,
-        pipeline_depth=pipeline_depth,
+        workers=workers, pipeline_depth=pipeline_depth
     ) as pool:
         # Render the *same* job twice: the volume object (and so its
         # identity token) is shared, so the second pass actually hits the

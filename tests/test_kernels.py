@@ -137,9 +137,7 @@ def test_pool_matches_serial_with_pinned_kernel_and_telemetry():
     serial_image, serial_result = run_job(InProcessExecutor(), *job)
     tr = enable_tracing()
     try:
-        with SharedMemoryPoolExecutor(
-            workers=2, reduce_mode="worker", kernel="numpy"
-        ) as pool:
+        with SharedMemoryPoolExecutor(workers=2, kernel="numpy") as pool:
             image, result = run_job(pool, *job)
     finally:
         disable_tracing()
@@ -291,15 +289,12 @@ def test_numba_golden_matrix_serial(scene, accel):
     assert_matches_golden_banded(scene, image, result)
 
 
-@pytest.mark.parametrize("reduce_mode", ["parent", "worker"])
-def test_numba_golden_through_pool(reduce_mode):
+def test_numba_golden_through_pool():
     _require_numba()
     job = build_job(
         "skull_default_az40", accel="grid", macro_cell_size=4, kernel="numba"
     )
-    with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode=reduce_mode, kernel="numba"
-    ) as pool:
+    with SharedMemoryPoolExecutor(workers=2, kernel="numba") as pool:
         image, result = run_job(pool, *job)
         tel = result.stats.telemetry["metrics"]
         assert tel["kernel_backend"]["value"] == "numba"

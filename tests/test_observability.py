@@ -289,9 +289,7 @@ def test_traced_pool_render_matches_golden_smoke():
     and the merged timeline covers every stage with one track per worker
     plus the parent."""
     enable_tracing()
-    with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh"
-    ) as pool:
+    with SharedMemoryPoolExecutor(workers=2, shuffle_mode="mesh") as pool:
         image, result = render_scene("skull_default_az40", pool)
     tr = disable_tracing()
     assert_matches_golden("skull_default_az40", image, result)
@@ -328,7 +326,7 @@ def test_traced_pool_render_matches_golden_smoke():
 
 def test_untraced_pool_render_matches_golden_smoke():
     assert current_tracer() is None
-    with SharedMemoryPoolExecutor(workers=2, reduce_mode="worker") as pool:
+    with SharedMemoryPoolExecutor(workers=2) as pool:
         image, result = render_scene("skull_default_az40", pool)
     assert_matches_golden("skull_default_az40", image, result)
     assert result.stats.telemetry["schema"] == SCHEMA  # metrics stay on
@@ -336,17 +334,12 @@ def test_untraced_pool_render_matches_golden_smoke():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("traced", [False, True])
-@pytest.mark.parametrize(
-    "reduce_mode,shuffle_mode",
-    [("parent", "parent"), ("worker", "parent"), ("worker", "mesh")],
-)
-def test_tracer_parity_matrix(traced, reduce_mode, shuffle_mode):
-    """Tracer on/off × both shuffle planes × both reduce modes: bitwise."""
+@pytest.mark.parametrize("shuffle_mode", ["mesh", "tcp"])
+def test_tracer_parity_matrix(traced, shuffle_mode):
+    """Tracer on/off × both shuffle planes: bitwise."""
     if traced:
         enable_tracing()
-    with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode=reduce_mode, shuffle_mode=shuffle_mode
-    ) as pool:
+    with SharedMemoryPoolExecutor(workers=2, shuffle_mode=shuffle_mode) as pool:
         image, result = render_scene("skull_default_az40", pool)
     assert_matches_golden("skull_default_az40", image, result)
 
@@ -358,7 +351,6 @@ def test_fault_plan_trace_tags_respawned_generation():
     enable_tracing()
     with SharedMemoryPoolExecutor(
         workers=2,
-        reduce_mode="worker",
         shuffle_mode="mesh",
         fault_plan="crash@map:worker=1,frame=1",
         retry_backoff=0.0,
@@ -505,7 +497,6 @@ def test_cli_render_trace_and_stats_json(tmp_path, capsys):
         [
             "render", "--dataset", "skull", "--size", "16", "--gpus", "2",
             "--image", "32", "--executor", "pool", "--workers", "2",
-            "--reduce-mode", "worker",
             "--trace-out", str(trace), "--stats-json", str(stats),
             "--out", str(tmp_path / "r.ppm"),
         ]

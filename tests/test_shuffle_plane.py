@@ -1,13 +1,14 @@
-"""Tests for the pluggable shuffle plane (`repro.parallel.shuffle`).
+"""Tests for the shuffle plane (`repro.parallel.shuffle`).
 
-The executor-parity and golden suites already pin that both planes are
-bitwise-indistinguishable; this layer tests the plane machinery itself:
-the ShuffleSpec ownership/routing contract, the mesh record protocol
-and per-frame watermarks, transport configuration (PoolConfig + env
-overrides), the control-plane guarantee (zero run bytes through the
-parent), NUMA pinning, and the mesh failure modes — a reducer-owner
-dying mid-shuffle and a wedged edge — which must tear the pool down
-with zero leaked shared-memory segments and allow a bitwise retry.
+The executor-parity and golden suites already pin that the mesh and
+tcp planes are bitwise-indistinguishable; this layer tests the plane
+machinery itself: the ShuffleSpec ownership/routing contract, the mesh
+record protocol and per-frame watermarks, transport configuration
+(PoolConfig + env overrides), the control-plane guarantee (zero run
+bytes through the parent), NUMA pinning, and the mesh failure modes —
+a reducer-owner dying mid-shuffle and a wedged edge — which must tear
+the pool down with zero leaked shared-memory segments and allow a
+bitwise retry.
 """
 
 import os
@@ -78,19 +79,17 @@ def test_pool_config_env_overrides(monkeypatch):
     monkeypatch.delenv(ENV_SHUFFLE_MODE, raising=False)
     cfg = PoolConfig()
     assert cfg.resolved_ring_write_timeout() == DEFAULT_RING_WRITE_TIMEOUT
-    # Auto picks the plane that matches the reduce placement...
-    assert cfg.resolved_shuffle_mode("worker") == "mesh"
-    assert cfg.resolved_shuffle_mode("parent") == "parent"
+    # Auto picks the mesh...
+    assert cfg.resolved_shuffle_mode() == "mesh"
     # ...unless the environment pins it (the CI slow matrix does this).
+    monkeypatch.setenv(ENV_SHUFFLE_MODE, "tcp")
+    assert cfg.resolved_shuffle_mode() == "tcp"
     monkeypatch.setenv(ENV_SHUFFLE_MODE, "parent")
-    assert cfg.resolved_shuffle_mode("worker") == "parent"
-    monkeypatch.setenv(ENV_SHUFFLE_MODE, "mesh")
-    assert cfg.resolved_shuffle_mode("parent") == "mesh"
-    monkeypatch.setenv(ENV_SHUFFLE_MODE, "bogus")
     with pytest.raises(ValueError, match="REPRO_SHUFFLE_MODE"):
-        cfg.resolved_shuffle_mode("worker")
+        cfg.resolved_shuffle_mode()
     # Explicit modes beat the environment.
-    assert PoolConfig(shuffle_mode="parent").resolved_shuffle_mode("worker") == "parent"
+    monkeypatch.setenv(ENV_SHUFFLE_MODE, "tcp")
+    assert PoolConfig(shuffle_mode="mesh").resolved_shuffle_mode() == "mesh"
     # Timeout: explicit > env > default; soak tests use the env knob.
     monkeypatch.setenv(ENV_RING_WRITE_TIMEOUT, "7.5")
     assert cfg.resolved_ring_write_timeout() == 7.5
@@ -106,71 +105,87 @@ def test_pool_config_env_overrides(monkeypatch):
 
 
 def test_pool_config_edge_capacity_and_validation():
-    assert PoolConfig(ring_capacity=8 << 20).resolved_edge_capacity(4) == 2 << 20
-    assert PoolConfig(ring_capacity=1024).resolved_edge_capacity(4) == 1 << 16
+    # The default splits an 8 MiB budget over each worker's edges.
+    assert PoolConfig().resolved_edge_capacity(2) == 4 << 20
+    assert PoolConfig().resolved_edge_capacity(4) == 2 << 20
+    assert PoolConfig().resolved_edge_capacity(256) == 1 << 16
     assert PoolConfig(mesh_edge_capacity=4096).resolved_edge_capacity(4) == 4096
-    with pytest.raises(ValueError):
-        PoolConfig(shuffle_mode="ring")
-    with pytest.raises(ValueError):
-        PoolConfig(ring_capacity=0)
+    for bad in ("ring", "parent"):
+        with pytest.raises(ValueError):
+            PoolConfig(shuffle_mode=bad)
     with pytest.raises(ValueError):
         PoolConfig(mesh_edge_capacity=MESH_HEADER_NBYTES)
 
 
 def test_executor_resolves_transport_at_construction(monkeypatch):
     monkeypatch.delenv(ENV_SHUFFLE_MODE, raising=False)
-    ex = SharedMemoryPoolExecutor(workers=2, reduce_mode="worker")
+    ex = SharedMemoryPoolExecutor(workers=2)
     assert ex.shuffle_mode == "mesh" and ex.mesh_active
-    ex = SharedMemoryPoolExecutor(workers=2, reduce_mode="parent")
-    assert ex.shuffle_mode == "parent" and not ex.mesh_active
-    # mesh requested with a parent-side reduce: every run's destination
-    # IS the parent, so the mesh never materializes — and every
-    # user-facing surface reports the plane that actually ran.
-    ex = SharedMemoryPoolExecutor(workers=2, reduce_mode="parent",
-                                  shuffle_mode="mesh")
-    assert ex.shuffle_mode == "mesh" and not ex.mesh_active
-    assert ex.effective_shuffle_mode == "parent"
-    assert SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh"
-    ).effective_shuffle_mode == "mesh"
+    assert ex.effective_shuffle_mode == "mesh"
+    # A serial pool materializes no plane at all.
+    ex = SharedMemoryPoolExecutor(workers=2, serial=True)
+    assert not ex.mesh_active and ex.effective_shuffle_mode is None
     # env steering of "auto" is captured once, at construction
-    monkeypatch.setenv(ENV_SHUFFLE_MODE, "parent")
-    ex = SharedMemoryPoolExecutor(workers=2, reduce_mode="worker")
-    assert ex.shuffle_mode == "parent" and not ex.mesh_active
+    monkeypatch.setenv(ENV_SHUFFLE_MODE, "tcp")
+    ex = SharedMemoryPoolExecutor(workers=2)
+    monkeypatch.delenv(ENV_SHUFFLE_MODE)
+    assert ex.shuffle_mode == "tcp" and ex.tcp_active and not ex.mesh_active
     monkeypatch.setenv(ENV_RING_WRITE_TIMEOUT, "9")
     ex = SharedMemoryPoolExecutor(workers=1)
     assert ex.ring_write_timeout == 9.0
 
 
-def test_mesh_fd_headroom_guard(monkeypatch):
-    """On hosts where the parent's O(N²) edge attachments would blow the
-    fd soft limit, an implicit (auto) mesh degrades to the parent plane
-    with a warning; an explicit mesh request fails fast with guidance
-    instead of EMFILE mid-handshake."""
-    from repro.parallel.shuffle import mesh_fd_headroom
-
-    fits, needed, _ = mesh_fd_headroom(2)
-    assert needed == 2 * 1 + 4 * 2 + 64
+def _fd_starved(monkeypatch):
+    """Make every mesh look too fd-hungry for this process."""
     import repro.parallel.pool as pool_mod
 
     monkeypatch.setattr(
         pool_mod, "mesh_fd_headroom", lambda w: (False, 9999, 128)
     )
     monkeypatch.delenv(ENV_SHUFFLE_MODE, raising=False)
+
+
+def test_mesh_fd_headroom_guard(monkeypatch):
+    """On hosts where the parent's O(N²) edge attachments would blow the
+    fd soft limit, an implicit (auto) mesh degrades to the tcp plane —
+    where the parent holds no data sockets — with a warning; an explicit
+    mesh request fails fast with guidance instead of EMFILE
+    mid-handshake."""
+    from repro.parallel.shuffle import mesh_fd_headroom
+
+    fits, needed, _ = mesh_fd_headroom(2)
+    assert needed == 2 * 1 + 4 * 2 + 64
+    _fd_starved(monkeypatch)
     with pytest.warns(RuntimeWarning, match="RLIMIT_NOFILE"):
-        ex = SharedMemoryPoolExecutor(workers=2, reduce_mode="worker")
-    assert ex.effective_shuffle_mode == "parent" and not ex.mesh_active
+        ex = SharedMemoryPoolExecutor(workers=2)
+    assert ex.effective_shuffle_mode == "tcp" and not ex.mesh_active
+    assert ex.socket_family in ("unix", "inet")
     with pytest.raises(ValueError, match="RLIMIT_NOFILE"):
-        SharedMemoryPoolExecutor(
-            workers=2, reduce_mode="worker", shuffle_mode="mesh"
-        )
+        SharedMemoryPoolExecutor(workers=2, shuffle_mode="mesh")
+
+
+@pytest.mark.slow
+def test_mesh_fd_headroom_downgrade_renders_bitwise(monkeypatch):
+    """The downgraded pool actually runs on the tcp plane and renders
+    bitwise-equal to the in-process executor."""
+    _fd_starved(monkeypatch)
+    spec, chunks = _job(ModSquareMapper(9))
+    ref = InProcessExecutor().execute(spec, chunks)
+    with pytest.warns(RuntimeWarning, match="RLIMIT_NOFILE"):
+        pool = SharedMemoryPoolExecutor(workers=2)
+    with pool:
+        got = pool.execute(spec, chunks)
+    assert_outputs_identical(ref, got)
+    assert got.stats.ring["shuffle_mode"] == "tcp"
 
 
 def test_renderer_rejects_bad_shuffle_mode():
     from repro import MapReduceVolumeRenderer
 
     with pytest.raises(ValueError, match="shuffle_mode"):
-        MapReduceVolumeRenderer(volume_shape=(8, 8, 8), shuffle_mode="ring")
+        MapReduceVolumeRenderer(
+            volume_shape=(8, 8, 8), executor="pool", shuffle_mode="ring"
+        )
 
 
 # -- the mesh record protocol (single-process loopback) ----------------------
@@ -338,16 +353,12 @@ def assert_outputs_identical(a, b):
 
 
 def test_mesh_zero_run_bytes_through_parent_and_stats_schema():
-    """The acceptance-criteria counter: with worker-side reduce on the
-    mesh plane, the parent touches zero run bytes; the same job on the
-    parent plane routes every byte through it."""
+    """The acceptance-criteria counter: on the mesh plane the parent
+    touches zero run bytes."""
     spec, chunks = _job(ModSquareMapper(9))
     ref = InProcessExecutor().execute(spec, chunks)
-    total_run_bytes = int(ref.pairs_per_reducer.sum()) * KV.itemsize
 
-    with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh"
-    ) as pool:
+    with SharedMemoryPoolExecutor(workers=2, shuffle_mode="mesh") as pool:
         got = pool.execute(spec, chunks)
     assert_outputs_identical(ref, got)
     ring = got.stats.ring
@@ -360,21 +371,12 @@ def test_mesh_zero_run_bytes_through_parent_and_stats_schema():
         <= set(ring["per_edge"][0])
     assert len(ring["per_edge"]) == 2  # N*(N-1) directed edges, N=2
 
-    with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="parent"
-    ) as pool:
-        got = pool.execute(spec, chunks)
-    assert_outputs_identical(ref, got)
-    ring = got.stats.ring
-    assert ring["shuffle_mode"] == "parent"
-    assert ring["parent_run_bytes"] == total_run_bytes
-
 
 def test_mesh_fallback_counts_and_parent_bytes():
     spec, chunks = _job(ModSquareMapper(9))
     ref = InProcessExecutor().execute(spec, chunks)
     with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh",
+        workers=2, shuffle_mode="mesh",
         mesh_edge_capacity=64,  # no real run fits: all relayed
     ) as pool:
         got = pool.execute(spec, chunks)
@@ -395,14 +397,13 @@ def test_mesh_kill_reducer_owner_mid_shuffle():
     placement = [0, 1, 0, 1]
     ref = InProcessExecutor().execute(good_spec, chunks, placement)
     pool = SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh",
+        workers=2, shuffle_mode="mesh",
         supervise=False,  # pin legacy fail-fast teardown semantics
     )
     try:
         got = pool.execute(good_spec, chunks, placement)
         assert_outputs_identical(ref, got)
-        names = [r.name for r in pool._state["rings"]]
-        names += [r.name for r in pool._state["mesh_edges"].values()]
+        names = [r.name for r in pool._state["mesh_edges"].values()]
         names.append(pool._state["arena"].name)
 
         with pytest.raises(RuntimeError, match="died during execute"):
@@ -433,7 +434,7 @@ def test_mesh_wedged_edge_times_out_and_tears_down():
     )
     placement = [1] + [0] * 11
     pool = SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh",
+        workers=2, shuffle_mode="mesh",
         mesh_edge_capacity=4096, ring_write_timeout=0.25,
         supervise=False,  # pin legacy fail-fast teardown semantics
     )
@@ -479,7 +480,7 @@ def test_cleanup_sweeps_edge_names_even_without_handshake():
 def test_mesh_edge_names_are_deterministic_and_swept_on_close():
     spec, chunks = _job(ModSquareMapper(9))
     pool = SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="mesh"
+        workers=2, shuffle_mode="mesh"
     )
     try:
         pool.execute(spec, chunks)
@@ -515,7 +516,7 @@ def test_pin_workers_pins_when_possible():
     ref = InProcessExecutor().execute(spec, chunks)
     # workers == 1 <= cores: pinning engages, results unchanged.
     with SharedMemoryPoolExecutor(
-        workers=1, pin_workers=True, reduce_mode="worker", shuffle_mode="mesh"
+        workers=1, pin_workers=True, shuffle_mode="mesh"
     ) as pool:
         assert pool._worker_pins() == [sorted(os.sched_getaffinity(0))[0]]
         got = pool.execute(spec, chunks)

@@ -1,7 +1,7 @@
 """Tests for the socket (tcp) shuffle plane (`repro.parallel.socketplane`).
 
 The executor-parity and golden suites pin that the tcp plane is
-bitwise-indistinguishable from the parent/mesh planes; this layer tests
+bitwise-indistinguishable from the mesh plane; this layer tests
 the plane machinery itself: the SocketMesh record protocol over AF_UNIX
 and loopback TCP streams, its failure split (wedged send vs dropped
 connection), host-spec placement, transport configuration and env
@@ -85,22 +85,13 @@ def test_parse_host_spec_rejects(spec, workers):
 
 
 def test_executor_resolves_tcp_plane_at_construction():
-    ex = SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="tcp"
-    )
+    ex = SharedMemoryPoolExecutor(workers=2, shuffle_mode="tcp")
     assert ex.tcp_active and not ex.mesh_active
     assert ex.effective_shuffle_mode == "tcp"
     assert ex.socket_family in ("unix", "inet")
-    # tcp with a parent-side reduce degenerates to the parent plane,
-    # exactly like mesh: every run's destination IS the parent.
-    ex = SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="parent", shuffle_mode="tcp"
-    )
-    assert not ex.tcp_active and ex.effective_shuffle_mode == "parent"
-    assert ex.socket_family is None
-    # auto never picks tcp.
-    ex = SharedMemoryPoolExecutor(workers=2, reduce_mode="worker")
-    assert ex.effective_shuffle_mode == "mesh"
+    # The mesh resolves no socket family.
+    ex = SharedMemoryPoolExecutor(workers=2, shuffle_mode="mesh")
+    assert not ex.tcp_active and ex.socket_family is None
 
 
 def test_multi_host_spec_requires_tcp_plane():
@@ -108,14 +99,13 @@ def test_multi_host_spec_requires_tcp_plane():
     # construction must fail, not a worker at attach time.
     with pytest.raises(ValueError, match="multi-host"):
         SharedMemoryPoolExecutor(
-            workers=2, reduce_mode="worker", shuffle_mode="mesh",
-            host_spec="0,1",
+            workers=2, shuffle_mode="mesh", host_spec="0,1"
         )
     with pytest.raises(ValueError, match="multi-host"):
         SharedMemoryPoolExecutor(workers=2, host_spec=2)
     # With the socket plane it is legal.
     ex = SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="tcp", host_spec="0,1"
+        workers=2, shuffle_mode="tcp", host_spec="0,1"
     )
     assert ex.multi_host and ex.host_ids == [0, 1]
 
@@ -292,7 +282,7 @@ def test_tcp_zero_run_bytes_through_parent_and_stats_schema():
     ref = InProcessExecutor().execute(spec, chunks)
 
     with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="tcp"
+        workers=2, shuffle_mode="tcp"
     ) as pool:
         got = pool.execute(spec, chunks)
     assert_outputs_identical(ref, got)
@@ -314,7 +304,7 @@ def test_tcp_multi_host_workers_match_inprocess():
     spec, chunks = _job(ModSquareMapper(9), n_chunks=4)
     ref = InProcessExecutor().execute(spec, chunks)
     with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="tcp", host_spec="0,1"
+        workers=2, shuffle_mode="tcp", host_spec="0,1"
     ) as pool:
         got = pool.execute(spec, chunks)
         assert pool.multi_host
@@ -325,7 +315,7 @@ def test_tcp_multi_host_workers_match_inprocess():
 def test_tcp_pool_leaves_no_socket_files_on_close():
     spec, chunks = _job(ModSquareMapper(9))
     pool = SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="tcp"
+        workers=2, shuffle_mode="tcp"
     )
     try:
         pool.execute(spec, chunks)
@@ -344,7 +334,7 @@ def test_tcp_pool_sweeps_socket_files_after_crash_teardown():
     crash_spec, _ = _job(ExitMapper(kill_chunk=1), n_chunks=4)
     placement = [0, 1, 0, 1]
     pool = SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="tcp",
+        workers=2, shuffle_mode="tcp",
         supervise=False,  # pin legacy fail-fast teardown semantics
     )
     try:
@@ -370,7 +360,7 @@ def test_tcp_inet_family_matches_inprocess(monkeypatch):
     spec, chunks = _job(ModSquareMapper(9))
     ref = InProcessExecutor().execute(spec, chunks)
     with SharedMemoryPoolExecutor(
-        workers=2, reduce_mode="worker", shuffle_mode="tcp"
+        workers=2, shuffle_mode="tcp"
     ) as pool:
         assert pool.socket_family == "inet"
         got = pool.execute(spec, chunks)

@@ -56,11 +56,10 @@ def _shm_listing():
     return set(glob.glob("/dev/shm/*"))
 
 
-def _pool(fault_plan=None, shuffle_mode="parent", reduce_mode="parent",
-          workers=2, depth=1, retries=2, **cfg):
+def _pool(fault_plan=None, shuffle_mode="mesh", workers=2, depth=1,
+          retries=2, **cfg):
     return SharedMemoryPoolExecutor(
         workers=workers,
-        reduce_mode=reduce_mode,
         pipeline_depth=depth,
         pool_config=PoolConfig(
             shuffle_mode=shuffle_mode,
@@ -275,27 +274,25 @@ def test_supervisor_event_history_is_bounded():
 
 # -- in-place recovery -------------------------------------------------------
 RECOVERY_CASES = [
-    # (plan, shuffle_mode, reduce_mode)
-    ("crash@map:worker=0,frame=1", "parent", "parent"),
-    ("crash@map:worker=1,frame=1", "mesh", "worker"),
-    ("exit(9)@shuffle-out:worker=1,frame=1", "parent", "parent"),
-    ("exit(9)@shuffle-out:worker=0,frame=1", "mesh", "worker"),
-    ("crash@reduce:worker=0,frame=1", "mesh", "worker"),
+    # (plan, shuffle_mode)
+    ("crash@map:worker=1,frame=1", "mesh"),
+    ("exit(9)@shuffle-out:worker=0,frame=1", "mesh"),
+    ("crash@reduce:worker=0,frame=1", "mesh"),
     # Socket plane: a crash mid-map drops the worker's connections too,
     # so recovery must survive the peers' SocketClosed reports racing
     # the death detection.
-    ("crash@map:worker=1,frame=1", "tcp", "worker"),
-    ("exit(9)@shuffle-out:worker=0,frame=1", "tcp", "worker"),
-    ("crash@reduce:worker=0,frame=1", "tcp", "worker"),
+    ("crash@map:worker=1,frame=1", "tcp"),
+    ("exit(9)@shuffle-out:worker=0,frame=1", "tcp"),
+    ("crash@reduce:worker=0,frame=1", "tcp"),
 ]
 
 
-@pytest.mark.parametrize("plan,shuffle_mode,reduce_mode", RECOVERY_CASES)
-def test_recovers_in_place_bitwise_identical(plan, shuffle_mode, reduce_mode):
+@pytest.mark.parametrize("plan,shuffle_mode", RECOVERY_CASES)
+def test_recovers_in_place_bitwise_identical(plan, shuffle_mode):
     spec, chunks = _generic_job(ModSquareMapper(7))
     ref = InProcessExecutor().execute(spec, chunks)
     before = _shm_listing()
-    with _pool(plan, shuffle_mode, reduce_mode) as pool:
+    with _pool(plan, shuffle_mode) as pool:
         result = pool.execute(spec, chunks)
         snap = pool._supervisor.snapshot()
     assert_results_identical(result, ref)
@@ -321,7 +318,7 @@ def test_recovers_with_pipelined_frames_in_flight():
     spec, chunks = _generic_job(ModSquareMapper(7))
     ref = InProcessExecutor().execute(spec, chunks)
     before = _shm_listing()
-    with _pool("crash@map:worker=0,frame=2", "mesh", "worker",
+    with _pool("crash@map:worker=0,frame=2", "mesh",
                depth=2) as pool:
         frames = [pool.submit(spec, chunks) for _ in range(3)]
         results = [pool.collect(f) for f in frames]
@@ -366,7 +363,7 @@ def test_wedged_stalled_worker_recovers():
                                 n_elems=512)
     ref = InProcessExecutor().execute(spec, chunks)
     before = _shm_listing()
-    with _pool("stall(30)@map:worker=0,frame=1", "mesh", "worker",
+    with _pool("stall(30)@map:worker=0,frame=1", "mesh",
                mesh_edge_capacity=3072, ring_write_timeout=1.0) as pool:
         t0 = time.monotonic()
         result = pool.execute(spec, chunks)
@@ -382,7 +379,7 @@ def test_wedged_stalled_worker_recovers():
 def test_user_code_errors_stay_fatal_under_supervision():
     spec, chunks = _generic_job(ModSquareMapper(7))
     spec.reducer = BoomReducer()
-    with _pool(reduce_mode="worker", shuffle_mode="mesh") as pool:
+    with _pool(shuffle_mode="mesh") as pool:
         with pytest.raises(RuntimeError, match="task failure"):
             pool.execute(spec, chunks)
         assert not pool._supervisor.active
@@ -401,18 +398,13 @@ def test_supervise_false_keeps_legacy_fail_fast():
 
 
 # -- degradation ladder ------------------------------------------------------
-@pytest.mark.parametrize("shuffle_mode,reduce_mode", [
-    ("parent", "parent"),
-    pytest.param("mesh", "worker", marks=pytest.mark.slow),
-])
-def test_persistent_fault_degrades_to_serial(shuffle_mode, reduce_mode):
+def test_persistent_fault_degrades_to_serial():
     """gen=any makes every respawned wave re-crash: the ladder must
     shrink 2 -> 1, then finish on the serial executor — never error."""
     spec, chunks = _generic_job(ModSquareMapper(7))
     ref = InProcessExecutor().execute(spec, chunks)
     before = _shm_listing()
-    with _pool("crash@map:worker=0,frame=1,gen=any", shuffle_mode,
-               reduce_mode, retries=1) as pool:
+    with _pool("crash@map:worker=0,frame=1,gen=any", retries=1) as pool:
         result = pool.execute(spec, chunks)
         snap = pool._supervisor.snapshot()
         # The pool is pinned to the serial floor for later frames too.
