@@ -23,7 +23,9 @@ from repro.render import (
     resolve_kernel,
     trilinear_sample,
 )
-from repro.render.accel import AccelCache
+from repro.render.accel import AccelCache, build_macro_grid, is_no_grid
+from repro.render.geometry import dual_box_intersect_f32
+from repro.render.raycast import _macro_grid_spans, _sample_intervals
 from repro.volume import make_dataset
 
 VOL = make_dataset("supernova", (32, 32, 32))
@@ -167,6 +169,53 @@ def test_bench_ray_box_intersect(benchmark):
         ray_box_intersect, o, d, np.zeros(3), np.full(3, 32.0)
     )
     assert len(tn) == 100_000
+
+
+#: Ray-setup scene: the whole 64³ skull as one brick, seen from the orbit
+#: workloads' framing, so the slab test and the macro-grid carve run on
+#: the ray counts and sample spans of a real map call.
+_SETUP_VOL = make_dataset("skull", (64, 64, 64))
+_SETUP_CAM = orbit_camera(
+    _SETUP_VOL.shape, azimuth_deg=30.0, elevation_deg=20.0,
+    width=128, height=128, distance_factor=2.2,
+)
+_SETUP_DIRS, _ = _SETUP_CAM.rect_rays_f32(_SETUP_CAM.full_rect())
+_SETUP_CELL = 8
+
+
+def test_bench_dual_box_intersect(benchmark):
+    """The map kernel's fused float32 slab test: every ray of the view
+    against one brick core and the volume box."""
+    eye = np.asarray(_SETUP_CAM.eye)
+    out = benchmark(
+        dual_box_intersect_f32, eye, _SETUP_DIRS,
+        np.array([16.0, 16.0, 0.0]), np.array([48.0, 48.0, 32.0]),
+        np.zeros(3), _SETUP_VOL.shape,
+    )
+    assert out[2].any()
+
+
+@pytest.mark.parametrize("dt", [0.25, 0.5, 0.75, 1.0])
+def test_bench_span_carve(benchmark, dt):
+    """The macro-grid span carve alone (block_size 8, 8³ cells).  Its
+    cost scales with ray-blocks, so it grows as dt shrinks."""
+    data = _SETUP_VOL.data
+    occ = build_macro_grid(data, TF, _SETUP_CELL)
+    assert not is_no_grid(occ)
+    eye = np.asarray(_SETUP_CAM.eye)
+    tn, tf_, hit, _, _, _ = dual_box_intersect_f32(
+        eye, _SETUP_DIRS, np.zeros(3), data.shape, np.zeros(3), data.shape
+    )
+    act = np.nonzero(hit & (tf_ > tn))[0]
+    dt32 = np.float32(dt)
+    kf, counts = _sample_intervals(tn[act], tf_[act], tn[act], dt32)
+    t0 = tn[act] + (kf.astype(np.float32) + np.float32(0.5)) * dt32
+    base_w = (eye - 0.5).astype(np.float32)
+    row_ptr, j0, j1 = benchmark(
+        _macro_grid_spans, occ, _SETUP_CELL, base_w, _SETUP_DIRS[act],
+        t0, counts, dt, 8,
+    )
+    assert 0 < int((j1 - j0).sum()) < int(counts.sum())
 
 
 def test_bench_counting_sort(benchmark):

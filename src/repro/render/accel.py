@@ -7,10 +7,10 @@ orbit (same volume, same transfer function, new camera) unless cached:
 * the blocked marcher's per-voxel corner-max empty-space table
   (:func:`repro.render.raycast._empty_space_table`), cached under the
   caller's base key;
-* the macro-cell occupancy grid (:func:`build_macro_grid`) that the
-  marcher DDA-traverses to carve whole transparent spans out of each
-  ray's sample interval *before* marching, cached under
-  :func:`grid_key` (base key + macro-cell size).
+* the macro-cell occupancy grid (:func:`build_macro_grid`) against
+  which the marcher classifies each ray's block windows to carve whole
+  transparent spans out of its sample interval *before* marching,
+  cached under :func:`grid_key` (base key + macro-cell size).
 
 Both structures are built (and cached) by :func:`raycast_brick`
 *before* it dispatches to a march-kernel backend
@@ -224,7 +224,7 @@ def is_no_grid(grid: Optional[np.ndarray]) -> bool:
 
 
 #: Occupied-cell fraction above which a macro grid is not worth using:
-#: the span walk + per-block span flattening cost O(rays · cells) and
+#: the span carve + per-block span flattening cost O(ray-blocks) and
 #: O(spans) regardless of how little they carve, so a nearly-full grid
 #: is pure overhead.  Such bricks cache :data:`NO_GRID` and fall back to
 #: the corner-max table (output is bitwise-identical either way — this

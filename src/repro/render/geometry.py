@@ -46,23 +46,30 @@ def ray_box_intersect(
     if np.any(box_hi <= box_lo):
         raise ValueError(f"degenerate box {box_lo}..{box_hi}")
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv = 1.0 / directions
-        t1 = (box_lo[None, :] - origins) * inv
-        t2 = (box_hi[None, :] - origins) * inv
-    t_lo = np.minimum(t1, t2)
-    t_hi = np.maximum(t1, t2)
-    # Where a direction component is 0, the ray is parallel to that slab:
-    # inside → (-inf, +inf), outside → empty interval.  Applied after the
-    # min/max so the empty interval (+inf, -inf) is not re-ordered, and so
-    # 0·inf NaNs from origins on a slab face are overwritten.
-    parallel = directions == 0.0
-    if np.any(parallel):
-        inside = (origins >= box_lo[None, :]) & (origins <= box_hi[None, :])
-        t_lo = np.where(parallel, np.where(inside, -np.inf, np.inf), t_lo)
-        t_hi = np.where(parallel, np.where(inside, np.inf, -np.inf), t_hi)
-    t_near = t_lo.max(axis=1)
-    t_far = t_hi.min(axis=1)
+    # One pass per axis over contiguous columns: elementwise min/max is
+    # exact, so this is bitwise the row-wise ``max(axis=1)`` reduction
+    # without its stride-3 access pattern.
+    t_near = t_far = None
+    for a in range(3):
+        o = origins[:, a]
+        d = directions[:, a]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv = 1.0 / d
+            t1 = (box_lo[a] - o) * inv
+            t2 = (box_hi[a] - o) * inv
+        t_lo = np.minimum(t1, t2)
+        t_hi = np.maximum(t1, t2)
+        # A zero direction component makes the ray parallel to this slab:
+        # inside → (-inf, +inf), outside → empty interval.  Applied after
+        # the min/max so the empty interval (+inf, -inf) is not re-ordered,
+        # and so 0·inf NaNs from origins on a slab face are overwritten.
+        parallel = d == 0.0
+        if parallel.any():
+            inside = (o >= box_lo[a]) & (o <= box_hi[a])
+            t_lo = np.where(parallel, np.where(inside, -np.inf, np.inf), t_lo)
+            t_hi = np.where(parallel, np.where(inside, np.inf, -np.inf), t_hi)
+        t_near = t_lo if t_near is None else np.maximum(t_near, t_lo)
+        t_far = t_hi if t_far is None else np.minimum(t_far, t_hi)
     hit = (t_far >= t_near) & (t_far >= 0.0)
     t_near = np.maximum(t_near, 0.0)
     return t_near, t_far, hit
@@ -86,8 +93,13 @@ def dual_box_intersect_f32(
     for the shared face of two adjacent bricks, which is what lets the
     kernel carve exact per-ray sample intervals out of these numbers.
 
-    Returns ``(tn_a, tf_a, hit_a, tn_b, tf_b, hit_b)`` with ``tn``
-    clamped to 0 (rays starting inside enter at t=0).
+    A ray with a zero direction component lies in a slab forever or
+    never; it is inside iff ``lo <= eye < hi`` on that axis — the same
+    half-open rule as :func:`box_contains`, so a ray travelling exactly
+    in the shared face of two adjacent bricks belongs to one of them.
+
+    Returns ``(tn_a, tf_a, hit_a, tn_b, tf_b, hit_b)`` (all float32 /
+    bool) with ``tn`` clamped to 0 (rays starting inside enter at t=0).
     """
     d = np.asarray(dirs, dtype=np.float32)
     eye = np.asarray(eye, dtype=np.float32)
@@ -95,33 +107,39 @@ def dual_box_intersect_f32(
     rel_hi_a = np.asarray(hi_a, dtype=np.float32) - eye
     rel_lo_b = np.asarray(lo_b, dtype=np.float32) - eye
     rel_hi_b = np.asarray(hi_b, dtype=np.float32) - eye
-    parallel = d == 0.0
-    any_parallel = bool(parallel.any())
+    # Contiguous per-axis columns: each slab is one elementwise pass, and
+    # elementwise min/max is exact, so folding the three axes pairwise is
+    # bitwise the row-wise max/min reduction.
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = [np.float32(1.0) / d[:, a] for a in range(3)]
+    parallel = [d[:, a] == 0.0 for a in range(3)]
+    neg_inf, pos_inf = np.float32(-np.inf), np.float32(np.inf)
 
-    def one_box(rel_lo, rel_hi, inv):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t1 = rel_lo[None, :] * inv
-            t2 = rel_hi[None, :] * inv
-        lo_t = np.minimum(t1, t2)
-        hi_t = np.maximum(t1, t2)
-        if any_parallel:
-            inside = (rel_lo[None, :] <= 0.0) & (rel_hi[None, :] >= 0.0) & parallel
-            lo_t = np.where(parallel, np.where(inside, -np.inf, np.inf), lo_t)
-            hi_t = np.where(parallel, np.where(inside, np.inf, -np.inf), hi_t)
-        tn = lo_t.max(axis=1)
-        tf = hi_t.min(axis=1)
+    def one_box(rel_lo, rel_hi):
+        tn = tf = None
+        for a in range(3):
+            with np.errstate(invalid="ignore", over="ignore"):
+                t1 = rel_lo[a] * inv[a]
+                t2 = rel_hi[a] * inv[a]
+            lo_t = np.minimum(t1, t2)
+            hi_t = np.maximum(t1, t2)
+            if parallel[a].any():
+                # Constant-coordinate lanes (also overwrites 0·inf NaNs).
+                inside = rel_lo[a] <= 0.0 < rel_hi[a]
+                lo_t[parallel[a]] = neg_inf if inside else pos_inf
+                hi_t[parallel[a]] = pos_inf if inside else neg_inf
+            tn = lo_t if tn is None else np.maximum(tn, lo_t, out=tn)
+            tf = hi_t if tf is None else np.minimum(tf, hi_t, out=tf)
         hit = (tf >= tn) & (tf >= 0.0)
         np.maximum(tn, np.float32(0.0), out=tn)
         return tn, tf, hit
 
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = np.float32(1.0) / d
-    tn_a, tf_a, hit_a = one_box(rel_lo_a, rel_hi_a, inv)
+    tn_a, tf_a, hit_a = one_box(rel_lo_a, rel_hi_a)
     # A brick spanning the whole volume (reference renders, single-brick
     # grids) makes the second test a mirror of the first.
     if np.array_equal(rel_lo_a, rel_lo_b) and np.array_equal(rel_hi_a, rel_hi_b):
         return tn_a, tf_a, hit_a, tn_a, tf_a, hit_a
-    tn_b, tf_b, hit_b = one_box(rel_lo_b, rel_hi_b, inv)
+    tn_b, tf_b, hit_b = one_box(rel_lo_b, rel_hi_b)
     return tn_a, tf_a, hit_a, tn_b, tf_b, hit_b
 
 

@@ -26,9 +26,12 @@ per-brick runs partition every ray exactly, with no per-sample
 containment test at all, so compositing the per-brick fragments in depth
 order reproduces the single-pass image (up to float32 associativity).
 This is the invariant the whole MapReduce pipeline is tested against.
-(The one theoretical exception is a ray travelling exactly parallel to
-and *inside* a shared brick face, which both bricks claim; cameras with
-finite-precision normalized directions do not produce such rays.)
+A ray travelling exactly parallel to and *inside* a shared brick face
+has no face t-value to share; it is owned by the brick whose half-open
+range ``lo <= eye < hi`` holds its constant coordinate (the
+:func:`~repro.render.geometry.box_contains` rule).  Such rays are
+ordinary: an odd-sized image whose eye sits on a brick boundary puts its
+middle pixel row or column exactly there.
 
 Blocked marching
 ----------------
@@ -55,11 +58,12 @@ discard one.  The macro grid goes coarser: the brick is partitioned into
 ``macro_cell_size``³ cells carrying min/max scalar ranges, cells whose
 entire padded range provably maps into the transfer function's leading
 zero-alpha run are classified empty
-(:func:`repro.render.accel.build_macro_grid`), and each ray DDA-walks
-the cell grid once (:func:`_macro_grid_spans`) to carve its owned sample
-interval down to occupied spans **before the blocked march** — skipped
-spans never compute positions, never probe the corner-max table, never
-gather.
+(:func:`repro.render.accel.build_macro_grid`), and each ray's block
+windows are classified against the cell grid (:func:`_macro_grid_spans`:
+a window is kept iff the bounding box of cells its samples cross holds
+an occupied cell) to carve its owned sample interval down to occupied
+spans **before the blocked march** — skipped spans never compute
+positions, never probe the corner-max table, never gather.
 
 Conservative-skip proof obligation: the grid path must be **bitwise
 identical** to ``accel="off"``, counters included.  Three facts carry
@@ -131,11 +135,12 @@ class RenderConfig:
 
     ``accel`` selects the empty-space machinery — all three settings are
     bitwise-identical in output and counters (see the module docstring's
-    proof obligation): ``"grid"`` (default) DDA-walks a
-    ``macro_cell_size``³ macro-cell min/max grid per ray to carve whole
-    transparent spans before the march *and* keeps the corner-max table
-    for the surviving samples; ``"table"`` is the per-sample corner-max
-    probe alone; ``"off"`` disables both (the conformance oracle).
+    proof obligation): ``"grid"`` (default) classifies every ray's block
+    windows against a ``macro_cell_size``³ macro-cell min/max grid to
+    carve whole transparent spans before the march *and* keeps the
+    corner-max table for the surviving samples; ``"table"`` is the
+    per-sample corner-max probe alone; ``"off"`` disables both (the
+    conformance oracle).
 
     ``kernel`` selects the march backend behind the kernel contract
     (:mod:`repro.render.kernels`): ``"numpy"`` is the blocked vectorized
@@ -355,16 +360,24 @@ def _alpha_zero_threshold(tf: TransferFunction1D) -> float:
     return float(nz[0] - 1)
 
 
-#: Slack (in samples) the span carve leaves on both sides of every
-#: occupied cell interval.  It only has to cover float64 roundoff in the
-#: t → sample-ordinal conversion (orders of magnitude below half a
-#: sample); positional float32-vs-float64 divergence is absorbed by the
-#: classifier's one-voxel support padding instead.  Erring large merely
-#: keeps a boundary sample that the exact per-sample filter re-tests
-#: anyway.
-_SPAN_SLACK = 0.5
-
 _EMPTY_I32 = np.zeros(0, dtype=np.int32)
+
+
+def _doubled_any(occ: np.ndarray) -> np.ndarray:
+    """Flat "any occupied cell in the box" table on the doubled lattice.
+
+    Per axis, entry ``2k`` is cell ``k`` and entry ``2k+1`` the cell pair
+    ``{k, k+1}``; so a box whose corner cells ``a, b`` differ by at most
+    one per axis is looked up at ``a + b`` — one ``np.take`` per box.
+    """
+    t = occ
+    for axis in range(3):
+        a = np.moveaxis(t, axis, 0)
+        d = np.empty((2 * len(a) - 1,) + a.shape[1:], dtype=bool)
+        d[0::2] = a
+        d[1::2] = a[:-1] | a[1:]
+        t = np.moveaxis(d, 0, axis)
+    return np.ascontiguousarray(t).ravel()
 
 
 def _macro_grid_spans(
@@ -375,8 +388,9 @@ def _macro_grid_spans(
     t0: np.ndarray,
     counts: np.ndarray,
     dt: float,
+    block_size: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Occupied sample spans per ray from one DDA walk of the macro grid.
+    """Occupied sample spans per ray, carved one block window at a time.
 
     ``occ`` is the boolean macro-cell occupancy
     (:func:`~repro.render.accel.build_macro_grid`); ``base_w`` the
@@ -386,180 +400,98 @@ def _macro_grid_spans(
     Returns a CSR triple ``(row_ptr, j0, j1)``: ray ``i``'s occupied
     spans are the half-open global sample ordinals ``[j0[k], j1[k])``
     for ``k in [row_ptr[i], row_ptr[i+1])``, sorted and non-overlapping.
-    Samples outside every span are *provably* dropped by the kernel's
-    exact empty-space filter (the classifier's obligation); everything
-    questionable — cell-boundary samples, rays that pin against the
-    clamped grid edge, walks that exhaust their step budget — errs
-    toward keeping.
 
-    Two traversal strategies produce the same conservative span set (the
-    kernel's exact filter makes any conservative superset bitwise
-    equivalent, so the choice is purely a cost model):
+    Each ray's owned samples are cut into pieces of ``c`` consecutive
+    samples: the march's ``block_size`` windows, shortened to
+    ``ceil(cell_size/dt)`` samples when a window is longer than a cell
+    (so ``(c−1)·dt < cell_size``).  For every piece the float64
+    lattice positions ``base_w + t·d`` of its first and last sample give
+    a bounding box of cells — clamped at the grid edge, which is where
+    the trilinear base of a clamped sample lies — and the piece is kept
+    iff any cell in that box is occupied.  With unit directions the box
+    spans at most two cells per axis by construction (asserted, never
+    clamped), so one ``np.take`` into :func:`_doubled_any` answers it.
+    Cost is O(ray-pieces), independent of the grid size and of
+    occupancy.
 
-    * **sparse grids** (occupied cells ≲ cells a ray can cross): one
-      vectorized slab test of *all* rays against each occupied cell's
-      box — O(occupied cells · rays);
-    * otherwise a vectorized Amanatides–Woo DDA over the cell-index
-      space — O(cells-crossed · rays), independent of occupancy.
+    Why the march stays bitwise identical to ``accel="off"``:
 
-    Both run in float64 over the *clamped* trilinear base coordinate
-    (grid-edge cells extend to infinity on their outer faces), so a
-    sample that clamps onto the payload edge is attributed to the edge
-    cell — the same cell whose padded min/max covers the clamped
-    support.  Cost never depends on ``dt``.
+    * positions are linear in ``t`` and the clamped cell index is
+      monotone in position, so every sample of a dropped piece lies in
+      an empty cell of the box;
+    * the march's float32 positions differ from these float64 ones by
+      far less than the one-voxel support pad of the cell min/max
+      (:func:`~repro.render.accel.build_macro_grid`), so such a sample
+      draws its 2×2×2 support from inside the padded footprint of a
+      cell classified empty and the kernel's exact filter
+      ``u <= u_thr`` drops it anyway — the transmittance scan sees the
+      same operand list;
+    * the spans only remove samples; block windows, folds and ERT checks
+      still fall at ``jb = 0, K, 2K, …`` and ``MapStats.n_samples``
+      counts owned samples before any elision;
+    * spans are whole pieces in integer sample ordinals: there is no
+      t → ordinal rounding, hence no slack.
     """
     n = len(t0)
-    gx, gy, gz = occ.shape
-    occ_flat = np.ascontiguousarray(occ).ravel()
+    no_spans = (np.zeros(n + 1, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64))
     cs = float(cell_size)
     dtf = float(dt)
-    bw = np.asarray(base_w, dtype=np.float64)
-    t_in = t0.astype(np.float64)
-    cnt = counts.astype(np.int64)
-    t_end = t_in + (cnt - 1) * dtf  # t of each ray's last owned sample
-
-    rows_parts: list = []
-    j0_parts: list = []
-    j1_parts: list = []
-
-    def emit(rows_idx, t_lo, t_hi, j_hi_cap):
-        j0 = np.ceil((t_lo - t_in[rows_idx]) / dtf - _SPAN_SLACK).astype(np.int64)
-        j1 = np.floor((t_hi - t_in[rows_idx]) / dtf + _SPAN_SLACK).astype(np.int64) + 1
-        np.clip(j0, 0, None, out=j0)
-        np.minimum(j1, j_hi_cap, out=j1)
-        ok = j1 > j0
-        if ok.any():
-            rows_parts.append(rows_idx[ok])
-            j0_parts.append(j0[ok])
-            j1_parts.append(j1[ok])
-
-    occ_cells = np.nonzero(occ_flat)[0]
-    max_steps = int(gx + gy + gz + 4)
-    gdims = (gx, gy, gz)
-    if len(occ_cells) <= max_steps:
-        # Sparse path: slab-test every ray against each occupied cell's
-        # box once.  Grid-edge cells extend to infinity on their outer
-        # faces so clamped positions attribute to them.
-        d64 = [dirs[:, a].astype(np.float64) for a in range(3)]
-        with np.errstate(divide="ignore"):
-            inv = [
-                np.where(d64[a] != 0.0, 1.0 / d64[a], np.inf) for a in range(3)
-            ]
-        zero = [d64[a] == 0.0 for a in range(3)]
-        any_zero = [bool(zero[a].any()) for a in range(3)]
-        for fc in occ_cells.tolist():
-            ci = (fc // (gy * gz), (fc // gz) % gy, fc % gz)
-            t_enter, t_exit = t_in, t_end
-            for a in range(3):
-                lo = -np.inf if ci[a] == 0 else ci[a] * cs
-                hi = np.inf if ci[a] == gdims[a] - 1 else (ci[a] + 1) * cs
-                # invalid="ignore": a zero-direction lane whose constant
-                # coordinate sits exactly on a cell face computes 0·inf
-                # here; the zero-lane branch below overwrites those NaNs.
-                with np.errstate(invalid="ignore"):
-                    t1 = (lo - bw[a]) * inv[a]
-                    t2 = (hi - bw[a]) * inv[a]
-                tl = np.minimum(t1, t2)
-                th = np.maximum(t1, t2)
-                if any_zero[a]:
-                    # Constant-coordinate rays: in the slab forever or
-                    # never (also overwrites any 0·inf NaN above).
-                    inside = (bw[a] >= lo) & (bw[a] < hi)
-                    tl = np.where(zero[a], -np.inf if inside else np.inf, tl)
-                    th = np.where(zero[a], np.inf if inside else -np.inf, th)
-                t_enter = np.maximum(t_enter, tl)
-                t_exit = np.minimum(t_exit, th)
-            er = np.nonzero(t_exit >= t_enter)[0]
-            if len(er):
-                emit(er, t_enter[er], t_exit[er], cnt[er])
-    else:
-        # Per-axis contiguous DDA state (a (n, 3) layout would make
-        # every walk op strided and every update a fancy-index scatter).
-        cell = [None, None, None]
-        tmax = [None, None, None]
-        tdelta = [None, None, None]
-        stepv = [None, None, None]
-        for a, nca in ((0, gx), (1, gy), (2, gz)):
-            da = dirs[:, a].astype(np.float64)
-            pa = bw[a] + t_in * da
-            ca = np.floor(pa / cs).astype(np.int64)
-            np.clip(ca, 0, nca - 1, out=ca)
-            sa = np.sign(da).astype(np.int64)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inva = np.where(da != 0.0, 1.0 / da, np.inf)
-                tma = np.where(
-                    da != 0.0, ((ca + (sa > 0)) * cs - bw[a]) * inva, np.inf
-                )
-            tda = np.where(da != 0.0, cs * np.abs(inva), np.inf)
-            # Init cells clamped from outside the grid can yield a
-            # boundary crossing *behind* the first sample; advance such
-            # a crossing by whole cell strides so the walk's cell always
-            # tracks the clamped base cell of the current position.
-            lag = np.nonzero(tma < t_in)[0]
-            if len(lag):
-                tma[lag] += np.ceil((t_in[lag] - tma[lag]) / tda[lag]) * tda[lag]
-            cell[a], tmax[a], tdelta[a], stepv[a] = ca, tma, tda, sa
-        cx, cy, cz = cell
-        tmx, tmy, tmz = tmax
-        tdx, tdy, tdz = tdelta
-        sx, sy, sz = stepv
-
-        alive = cnt > 0
-        t_cur = t_in.copy()
-        # A straight ray crosses at most gx+gy+gz+2 cells; clamped edge
-        # riders may burn a few phantom steps, covered by the fallback.
-        for _ in range(max_steps):
-            if not alive.any():
-                break
-            tm = np.minimum(np.minimum(tmx, tmy), tmz)
-            flat_cell = (cx * gy + cy) * gz + cz
-            hit = alive & np.take(occ_flat, flat_cell)
-            if hit.any():
-                er = np.nonzero(hit)[0]
-                emit(er, t_cur[er], np.minimum(tm[er], t_end[er]), cnt[er])
-            alive &= tm < t_end
-            if not alive.any():
-                break
-            # Step the min-tmax axis (ties prefer x then y — argmin order).
-            mx = alive & (tmx <= tmy) & (tmx <= tmz)
-            my = alive & ~mx & (tmy <= tmz)
-            mz = alive & ~mx & ~my
-            cx = np.clip(np.where(mx, cx + sx, cx), 0, gx - 1)
-            cy = np.clip(np.where(my, cy + sy, cy), 0, gy - 1)
-            cz = np.clip(np.where(mz, cz + sz, cz), 0, gz - 1)
-            t_cur = np.where(alive, tm, t_cur)
-            tmx = np.where(mx, tmx + tdx, tmx)
-            tmy = np.where(my, tmy + tdy, tmy)
-            tmz = np.where(mz, tmz + tdz, tmz)
+    c = max(1, min(int(block_size), int(np.ceil(cs / dtf))))
+    cnt = np.asarray(counts, dtype=np.int64)
+    npc = (cnt + (c - 1)) // c  # pieces per ray
+    m = int(npc.sum())
+    if m == 0:
+        return no_spans
+    # Flat (ray, piece q) list, ray-major; per-ray values are np.repeat-ed
+    # (a sequential copy) rather than gathered.
+    first = np.cumsum(npc) - npc
+    q = np.arange(m, dtype=np.int32) - np.repeat(first.astype(np.int32), npc)
+    # t = t0 + j·dt of each piece's first and last sample, in float64.
+    j_a = q * float(c)
+    j_b = np.minimum(j_a + (c - 1), np.repeat((cnt - 1).astype(np.float64), npc))
+    t0r = np.repeat(t0.astype(np.float64), npc)
+    t_a = j_a * dtf + t0r
+    t_b = j_b * dtf + t0r
+    # Per axis: the clamped cells ca, cb of the two ends, in cell units
+    # u = (base_w + t·d) / cs (truncating, then clamping at 0, floors).
+    bwc = np.asarray(base_w, dtype=np.float64) / cs
+    u = np.empty(m)
+    idx = None
+    for a, g in enumerate(occ.shape):
+        dc = np.repeat(dirs[:, a].astype(np.float64) / cs, npc)
+        np.multiply(t_a, dc, out=u)
+        u += bwc[a]
+        ca = u.astype(np.int32)
+        np.clip(ca, 0, g - 1, out=ca)
+        np.multiply(t_b, dc, out=u)
+        u += bwc[a]
+        e = u.astype(np.int32)
+        np.clip(e, 0, g - 1, out=e)
+        e -= ca
+        assert e.min() >= -1 and e.max() <= 1, "a piece spans > 2 cells"
+        e += 2 * ca  # ca + cb: the doubled-lattice coordinate of the box
+        if idx is None:
+            idx = e
         else:
-            rem = np.nonzero(alive)[0]  # budget exhausted: keep the rest
-            if len(rem):
-                emit(rem, t_cur[rem], t_end[rem], cnt[rem])
-
-    if not rows_parts:
-        return np.zeros(n + 1, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
-    row = np.concatenate(rows_parts)
-    j0 = np.concatenate(j0_parts)
-    j1 = np.concatenate(j1_parts)
-    # Merge overlapping/adjacent spans per ray (slack-expanded neighbours
-    # overlap; a sample must enter the flat march list exactly once).
-    # The slab path emits cells in grid order, not per-ray t order, so
-    # sort by (ray, start) rather than trusting emission order.
-    order = np.lexsort((j0, row))
-    row, j0, j1 = row[order], j0[order], j1[order]
-    big = int(cnt.max()) + 2
-    a0 = j0 + row * big
-    running_hi = np.maximum.accumulate(j1 + row * big)
-    first = np.empty(len(row), dtype=bool)
-    first[0] = True
-    np.greater(a0[1:], running_hi[:-1], out=first[1:])
-    starts = np.nonzero(first)[0]
-    seg_last = np.r_[starts[1:], len(row)] - 1
-    m_row = row[starts]
-    m_j0 = j0[starts]
-    m_j1 = running_hi[seg_last] - m_row * big
-    row_ptr = np.searchsorted(m_row, np.arange(n + 1, dtype=np.int64))
-    return row_ptr, m_j0, m_j1
+            idx *= 2 * g - 1
+            idx += e
+    kept = np.nonzero(np.take(_doubled_any(occ), idx))[0]
+    if len(kept) == 0:
+        return no_spans
+    # Merge runs of consecutive kept pieces of one ray into one span.
+    kq = q[kept]
+    new = np.empty(len(kept), dtype=bool)
+    new[0] = True
+    np.not_equal(kept[1:], kept[:-1] + 1, out=new[1:])
+    new |= kq == 0  # a ray's first piece never merges into the previous ray
+    starts = np.nonzero(new)[0]
+    ends = np.r_[starts[1:], len(kept)] - 1
+    span_rows = np.repeat(np.arange(n, dtype=np.int32), npc)[kept[starts]]
+    j0 = kq[starts].astype(np.int64) * c
+    j1 = np.minimum((kq[ends].astype(np.int64) + 1) * c, cnt[span_rows])
+    row_ptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(span_rows, minlength=n), out=row_ptr[1:])
+    return row_ptr, j0, j1
 
 
 def _block_spans_flat(
@@ -766,7 +698,14 @@ def raycast_brick(
     spans = None
     if grid_occ is not None:
         spans = _macro_grid_spans(
-            grid_occ, config.macro_cell_size, base_w, d_c, t0_c, counts, config.dt
+            grid_occ,
+            config.macro_cell_size,
+            base_w,
+            d_c,
+            t0_c,
+            counts,
+            config.dt,
+            config.block_size,
         )
 
     # The march itself runs behind the kernel contract: the numpy

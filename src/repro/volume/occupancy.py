@@ -14,8 +14,9 @@ transparent space): it partitions a brick payload into ``cell_size``³
 macro cells and reduces each cell's *padded trilinear support* to a
 (min, max) scalar pair.  The render layer classifies those ranges
 against a transfer function (:func:`repro.render.accel.build_macro_grid`)
-and DDA-traverses the resulting occupancy grid per ray so whole
-transparent spans are carved out before any sample is even positioned.
+and classifies every ray's block windows against the resulting occupancy
+grid so whole transparent spans are carved out before any sample is even
+positioned.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.render import box_contains, ray_box_intersect
+from repro.render.geometry import dual_box_intersect_f32
 
 BOX_LO = np.array([0.0, 0.0, 0.0])
 BOX_HI = np.array([10.0, 10.0, 10.0])
@@ -113,3 +114,45 @@ def test_box_contains_vectorised():
     pts = np.array([[1, 1, 1], [10, 5, 5], [9.999, 9.999, 9.999], [-0.1, 5, 5]])
     got = box_contains(pts, BOX_LO, BOX_HI)
     assert got.tolist() == [True, False, True, False]
+
+
+def test_dual_box_parallel_ray_in_shared_face_has_one_owner():
+    """A ray with zero x direction lying in the x = 5 face of two adjacent
+    boxes is inside only the box whose half-open range holds the eye."""
+    eye = np.array([5.0, -3.0, 4.0])
+    dirs = np.array([[0.0, 1.0, 0.0], [0.6, 0.8, 0.0]], np.float32)
+    lo_a, hi_a = np.zeros(3), np.array([5.0, 10.0, 10.0])
+    lo_b, hi_b = np.array([5.0, 0.0, 0.0]), np.array([10.0, 10.0, 10.0])
+    out = dual_box_intersect_f32(eye, dirs, lo_a, hi_a, lo_b, hi_b)
+    tn_a, tf_a, hit_a, tn_b, tf_b, hit_b = out
+    assert not hit_a[0] and hit_b[0]
+    assert tn_b[0] == 3.0 and tf_b[0] == 13.0
+    for arr in (tn_a, tf_a, tn_b, tf_b):
+        assert arr.dtype == np.float32
+
+
+@given(
+    ox=st.floats(-20, 30),
+    oy=st.floats(-20, 30),
+    oz=st.floats(-20, 30),
+)
+@settings(max_examples=50, deadline=None)
+def test_dual_box_equals_rowwise_slab_reduction(ox, oy, oz):
+    """The per-axis column passes are bitwise the textbook (N, 3)
+    row-wise min/max reduction (elementwise max/min is exact)."""
+    rng = np.random.default_rng(0)
+    dirs = rng.normal(size=(64, 3)).astype(np.float32)
+    eye = np.array([ox, oy, oz], np.float32)
+    lo_b, hi_b = np.array([2.0, 0.0, 3.0]), np.array([7.0, 4.0, 9.0])
+    out = dual_box_intersect_f32(eye, dirs, BOX_LO, BOX_HI, lo_b, hi_b)
+    inv = np.float32(1.0) / dirs
+    for k, (lo, hi) in enumerate([(BOX_LO, BOX_HI), (lo_b, hi_b)]):
+        t1 = (lo.astype(np.float32) - eye)[None, :] * inv
+        t2 = (hi.astype(np.float32) - eye)[None, :] * inv
+        tn = np.minimum(t1, t2).max(axis=1)
+        tf = np.maximum(t1, t2).min(axis=1)
+        hit = (tf >= tn) & (tf >= 0.0)
+        tn = np.maximum(tn, np.float32(0.0))
+        assert np.array_equal(out[3 * k], tn)
+        assert np.array_equal(out[3 * k + 1], tf)
+        assert np.array_equal(out[3 * k + 2], hit)

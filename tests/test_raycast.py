@@ -204,6 +204,31 @@ def test_view_angle_sweep_stays_consistent():
         assert max_abs_diff(img, ref.image) < 1e-4, f"az={az} el={el}"
 
 
+@pytest.mark.parametrize("size", [31, 33, 35])
+def test_rays_in_a_shared_brick_face_are_marched_once(size):
+    """An odd image puts its middle pixel row and column exactly in the
+    eye's y and z planes, so those rays have zero direction components
+    and travel inside the faces brick boundaries share at 16.  Each must
+    be owned by one brick (half-open ``lo <= eye < hi``), so the 8-GPU
+    frame takes exactly the single-brick frame's samples."""
+    from repro import MapReduceVolumeRenderer
+
+    vol = make_dataset("skull", (32, 32, 32))
+    cam = Camera(eye=(-40, 16, 16), center=(16, 16, 16), width=size, height=size)
+    out = {}
+    for cluster in (1, 8):
+        with MapReduceVolumeRenderer(
+            volume=vol,
+            cluster=cluster,
+            render_config=RenderConfig(dt=0.5, ert_alpha=1.0),
+            accel="off",
+        ) as r:
+            res = r.render(cam, mode="exec")
+        out[cluster] = (res.image, res.stats.as_dict()["n_samples"])
+    assert out[8][1] == out[1][1]
+    assert max_abs_diff(out[8][0], out[1][0]) < 1e-6
+
+
 def test_fragment_counts_scale_with_brick_count():
     """More bricks → more fragments for the same image (the paper's
     O(X) lower / O(BX) upper bound intuition)."""
