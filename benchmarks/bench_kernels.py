@@ -25,7 +25,20 @@ from repro.render import (
 )
 from repro.render.accel import AccelCache, build_macro_grid, is_no_grid
 from repro.render.geometry import dual_box_intersect_f32
-from repro.render.raycast import _macro_grid_spans, _sample_intervals
+from repro.render.kernels.numpy_backend import (
+    _expand,
+    _fold,
+    _positions,
+    _window_pieces,
+)
+from repro.render.raycast import (
+    _alpha_zero_threshold,
+    _macro_grid_spans,
+    _sample_intervals,
+    _trilinear_gather,
+    _trilinear_prep,
+)
+from repro.render.transfer import opacity_correction
 from repro.volume import make_dataset
 
 VOL = make_dataset("supernova", (32, 32, 32))
@@ -216,6 +229,117 @@ def test_bench_span_carve(benchmark, dt):
         t0, counts, dt, 8,
     )
     assert 0 < int((j1 - j0).sum()) < int(counts.sum())
+
+
+# -- the numpy march's sub-stages ---------------------------------------------
+# One fixed brick and camera: the whole 64³ skull as one brick under the
+# ray-setup camera, dt 0.75, block 8, macro-grid carved, no termination.
+# Each row times one stage over every window of the march and records
+# the samples it handles in ``extra_info`` (ns/sample = mean / samples).
+_MARCH_DT = 0.75
+_MARCH_K = 8
+
+
+def _march_inputs():
+    """Per-window inputs of each stage, computed once."""
+    data = _SETUP_VOL.data
+    eye = np.asarray(_SETUP_CAM.eye)
+    tn, tf_, hit, tnv, _, hitv = dual_box_intersect_f32(
+        eye, _SETUP_DIRS, np.zeros(3), data.shape, np.zeros(3), data.shape
+    )
+    act = np.nonzero(hit & hitv & (tf_ > tn))[0]
+    dt32 = np.float32(_MARCH_DT)
+    kf, counts = _sample_intervals(tn[act], tf_[act], tnv[act], dt32)
+    t0 = tnv[act] + (kf.astype(np.float32) + np.float32(0.5)) * dt32
+    dirs = _SETUP_DIRS[act]
+    base_w = (eye - 0.5).astype(np.float32)
+    spans = _macro_grid_spans(
+        build_macro_grid(data, TF, _SETUP_CELL), _SETUP_CELL, base_w, dirs,
+        t0, counts, _MARCH_DT, _MARCH_K,
+    )
+    inp = dict(
+        counts=counts, spans=spans, n_rays=len(act), dt=float(dt32),
+        t0=t0.astype(np.float64), dirs=np.ascontiguousarray(dirs.T, np.float64),
+        base_w=base_w.astype(np.float64), windows=[], visible=[],
+    )
+    ray, pj0, plen, wptr = _window_pieces(counts, spans, _MARCH_K)
+    flat = data.ravel()
+    u_thr = np.float32(_alpha_zero_threshold(TF))
+    for w in range(len(wptr) - 1):
+        pr, pj, pl = (x[wptr[w] : wptr[w + 1]] for x in (ray, pj0, plen))
+        if len(pr) == 0:
+            continue
+        rows, t = _expand(pr, pj, pl, inp["t0"], inp["dt"])
+        inp["windows"].append((pr, pj, pl, t))
+        c = _positions(pr, pl, t, inp["dirs"], inp["base_w"])
+        base = _trilinear_prep(data.shape, *c)
+        u = TF.table_coord(_trilinear_gather(flat, data.shape, base, *c))
+        vis = np.nonzero(u > u_thr)[0]
+        if len(vis):
+            rgba = TF.lookup_from_u(u[vis])
+            a = opacity_correction(rgba[:, 3], _MARCH_DT)
+            inp["visible"].append((rows[vis], u[vis], rgba, a))
+    inp["samples"] = sum(len(w[3]) for w in inp["windows"])
+    inp["visible_samples"] = sum(len(v[0]) for v in inp["visible"])
+    return inp
+
+
+_MARCH = _march_inputs()
+
+
+def test_bench_march_stream(benchmark):
+    """Split the carved spans into window pieces, expand every window."""
+    m = _MARCH
+    benchmark.extra_info["samples"] = m["samples"]
+
+    def stream():
+        ray, pj0, plen, wptr = _window_pieces(m["counts"], m["spans"], _MARCH_K)
+        for w in range(len(wptr) - 1):
+            sl = slice(wptr[w], wptr[w + 1])
+            if sl.start < sl.stop:
+                _expand(ray[sl], pj0[sl], plen[sl], m["t0"], m["dt"])
+
+    benchmark(stream)
+
+
+def test_bench_march_positions_prep(benchmark):
+    """Float64 sample positions plus the clamped trilinear prep."""
+    m = _MARCH
+    benchmark.extra_info["samples"] = m["samples"]
+
+    def positions_prep():
+        for pr, _, pl, t in m["windows"]:
+            c = _positions(pr, pl, t, m["dirs"], m["base_w"])
+            _trilinear_prep(_SETUP_VOL.shape, *c)
+
+    benchmark(positions_prep)
+
+
+def test_bench_march_tf(benchmark):
+    """TF lookup plus opacity correction of the visible samples."""
+    m = _MARCH
+    benchmark.extra_info["samples"] = m["visible_samples"]
+
+    def tf_stage():
+        for _, u, _, _ in m["visible"]:
+            rgba = TF.lookup_from_u(u)
+            opacity_correction(rgba[:, 3], _MARCH_DT)
+
+    benchmark(tf_stage)
+
+
+def test_bench_march_scan_fold(benchmark):
+    """Segmented transmittance scan plus the accumulator fold."""
+    m = _MARCH
+    benchmark.extra_info["samples"] = m["visible_samples"]
+
+    def scan_fold():
+        acc_rgb = np.zeros((m["n_rays"], 3), np.float32)
+        acc_a = np.zeros(m["n_rays"], np.float32)
+        for rows, _, rgba, a in m["visible"]:
+            _fold(rows, rgba, a, acc_rgb, acc_a)
+
+    benchmark(scan_fold)
 
 
 def test_bench_counting_sort(benchmark):

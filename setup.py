@@ -12,6 +12,8 @@ Extras:
   ``pip install -e .[numba]``.  Without it the renderer falls back to
   the pure-NumPy kernel (``kernel="auto"`` warns once per process;
   ``kernel="numba"`` raises).
+* ``test`` — what the test suite imports (``pytest``, ``hypothesis``);
+  install with ``pip install -e .[test]``.
 """
 
 from setuptools import find_packages, setup
@@ -30,5 +32,6 @@ setup(
     extras_require={
         "numba": ["numba"],
         "scipy": ["scipy"],
+        "test": ["pytest", "hypothesis"],
     },
 )

@@ -20,35 +20,74 @@ The same scatter is the building block of the Reduce side's
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 _UNRESOLVED = object()
-_sp_tools = _UNRESOLVED  # lazily resolved on first use (SciPy import is slow)
+_sp_tools = _UNRESOLVED  # lazily resolved on first use
+
+
+def _sparsetools_direct():
+    """SciPy's ``_sparsetools`` extension, loaded straight from its file.
+
+    Importing ``scipy.sparse`` to reach it costs 0.2–0.4 s and ~10 MB per
+    process; loading the one extension file takes well under a
+    millisecond.  ``find_spec`` locates the installed ``scipy`` package
+    without importing it.
+    """
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec.submodule_search_locations or []) if spec else []:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.exists(path):
+                name = "scipy.sparse._sparsetools"
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                tools = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(name, loader)
+                )
+                loader.exec_module(tools)
+                return tools
+    return None
+
+
+def _sparsetools_package():
+    """The same extension through the ``scipy.sparse`` package import."""
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
+
+
+def _scatter_works(tools) -> bool:
+    """Known-answer check of ``coo_tocsr`` as the counting scatter."""
+    keys = np.array([2, 0, 2, 1], dtype=np.int32)
+    arrival = np.arange(4, dtype=np.int32)
+    indptr = np.zeros(4, dtype=np.int32)
+    cols = np.empty(4, dtype=np.int32)
+    order = np.empty(4, dtype=np.int32)
+    tools.coo_tocsr(3, 4, 4, keys, arrival, arrival, indptr, cols, order)
+    return bool(np.array_equal(order, [1, 3, 0, 2]))
 
 
 def _load_counting_scatter():
-    """Import SciPy's COO→CSR placement kernel and prove it still works.
+    """SciPy's COO→CSR placement kernel, proven to still work, or None.
 
     ``coo_tocsr`` is private SciPy API, so guard against signature or
-    semantics drift (not just absence) with a tiny known-answer sort;
-    any failure selects the pure-NumPy argsort fallback.
+    semantics drift (not just absence) with a tiny known-answer sort.
+    The direct file load is tried first, then the package import; if
+    both fail, the pure-NumPy argsort fallback is selected.
     """
-    try:  # pragma: no cover - exercised via stable_counting_order
-        from scipy.sparse import _sparsetools as tools
-
-        keys = np.array([2, 0, 2, 1], dtype=np.int32)
-        arrival = np.arange(4, dtype=np.int32)
-        indptr = np.zeros(4, dtype=np.int32)
-        cols = np.empty(4, dtype=np.int32)
-        order = np.empty(4, dtype=np.int32)
-        tools.coo_tocsr(3, 4, 4, keys, arrival, arrival, indptr, cols, order)
-        if not np.array_equal(order, [1, 3, 0, 2]):
-            return None
-        return tools
-    except Exception:  # pragma: no cover
-        return None
+    for load in (_sparsetools_direct, _sparsetools_package):
+        try:
+            tools = load()
+            if tools is not None and _scatter_works(tools):
+                return tools
+        except Exception:
+            continue
+    return None
 
 __all__ = [
     "counting_scatter_available",

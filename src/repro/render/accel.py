@@ -270,12 +270,13 @@ def build_macro_grid(
     * the cell's scalar range is the (min, max) over its **padded**
       trilinear support (:func:`~repro.volume.occupancy.macro_cell_minmax`
       with one extra voxel per side), absorbing the sub-1e-3-voxel gap
-      between the classifier's float64 ray positions and the march's
-      float32 ones, boundary clamping included;
+      between the carve's float64 ray positions and the march's (also
+      float64, but from the float32-rounded step), boundary clamping
+      included;
     * the range's float64 table coordinate must sit a **full table
-      entry** below the first non-zero alpha entry, absorbing float32
-      `table_coord` rounding and trilinear lerp overshoot beyond the
-      support's max.
+      entry** below the first non-zero alpha entry, absorbing the
+      float32 rounding of the float64 trilinear value in `table_coord`
+      and lerp overshoot beyond the support's max.
 
     Every carved sample thus satisfies ``u <= u_thr`` under the march's
     own arithmetic; the kernel re-applies the exact filter to whatever

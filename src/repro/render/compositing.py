@@ -16,7 +16,7 @@ no per-depth-rank Python iteration.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,17 +53,13 @@ def group_ranks(sorted_keys: np.ndarray) -> np.ndarray:
     return pos - run_start
 
 
-def segmented_exclusive_cumprod(
-    values: np.ndarray, seg_start: np.ndarray, max_run: Optional[int] = None
-) -> np.ndarray:
+def segmented_exclusive_cumprod(values: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
     """Exclusive running product of ``values`` within each segment.
 
     ``seg_start`` is a boolean mask flagging the first element of every
     segment (element 0 must be flagged).  Returns ``out`` with
     ``out[j] = Π values[i]`` over the elements ``i`` of ``j``'s segment
-    that precede ``j`` (so 1.0 at each segment start).  ``max_run``, when
-    the caller already knows an upper bound on the longest segment,
-    skips one pass over the data.
+    that precede ``j`` (so 1.0 at each segment start).
 
     Implemented as a Hillis–Steele doubling scan: ``ceil(log2(max run))``
     vectorised passes, each a masked elementwise multiply — the GPU-style
@@ -82,15 +78,21 @@ def segmented_exclusive_cumprod(
     p = np.empty(n, dtype=np.float32)
     p[0] = 1.0
     p[1:] = values[:-1]
-    p[seg_start] = 1.0
-    seg_id = np.cumsum(seg_start)
-    if max_run is None:
-        starts_idx = np.nonzero(seg_start)[0]
-        max_run = int(np.diff(np.r_[starts_idx, n]).max())
+    starts_idx = np.nonzero(seg_start)[0]
+    p[starts_idx] = 1.0
+    lens = np.empty_like(starts_idx)  # (np.diff's append= is slow)
+    np.subtract(starts_idx[1:], starts_idx[:-1], out=lens[:-1])
+    lens[-1] = n - starts_idx[-1]
+    max_run = int(lens.max())
+    seg_id = np.repeat(np.arange(len(lens), dtype=np.intp), lens)
+    one = np.float32(1.0)
     shift = 1
     while shift < max_run:
+        # Multiplying by 1.0 is exact, so scaling every element by its
+        # partner or by 1 is the masked update; np.where reads the
+        # previous pass's values before the in-place multiply.
         same = seg_id[shift:] == seg_id[:-shift]
-        p[shift:] = np.where(same, p[shift:] * p[:-shift], p[shift:])
+        p[shift:] *= np.where(same, p[:-shift], one)
         shift <<= 1
     return p
 

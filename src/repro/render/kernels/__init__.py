@@ -23,10 +23,10 @@ happens *inside* a carved sample span is the kernel contract captured by
 Backends
 --------
 ``numpy``
-    The literal blocked/vectorized loop ``raycast_brick`` has always
-    run, moved here verbatim — a pure refactor, bitwise-identical by
-    construction.  Always available; the conformance oracle for every
-    other backend.
+    The blocked/vectorized fold over one window-major sample stream per
+    brick, bitwise-identical to the loop ``raycast_brick`` has always
+    run (the golden fixtures pin it).  Always available; the
+    conformance oracle for every other backend.
 ``numba``
     ``@njit(cache=True, fastmath=False)`` per-ray march loops that fuse
     gather + lookup + composite into one pass

@@ -1,11 +1,14 @@
-"""The numpy march backend — the blocked vectorized fold, verbatim.
+"""The numpy march backend — the blocked vectorized fold, the oracle.
 
-This is the loop ``raycast_brick`` has always run (see the raycast
-module docstring for the blocked-march design), moved behind the
-:class:`~repro.render.kernels.KernelSpec` contract as a pure refactor:
-same arrays, same operation order, bitwise-identical output by
-construction.  It is the conformance oracle every other backend is
-tested against.
+A brick's march is one window-major sample stream: each ray's sample
+spans (the macro-grid carve's CSR spans, or ``[0, count)`` without a
+grid) are split once at the ``block_size`` window boundaries into
+``(ray, first ordinal, length)`` pieces, stably ordered by window.  Each
+block takes its window's pieces, drops terminated rays, and expands the
+rest with ``np.repeat`` — rays ascending, ordinals ascending within a
+ray.  Precision is the mixed walk NumPy's promotions produce (see the
+package docstring): ``t``, positions and lerps in float64, the float32
+per-ray operands cast once per brick (exact); TF and fold in float32.
 """
 
 from __future__ import annotations
@@ -13,131 +16,135 @@ from __future__ import annotations
 import numpy as np
 
 from ..compositing import segmented_exclusive_cumprod
-from ..raycast import _block_spans_flat, _trilinear_gather, _trilinear_prep
+from ..raycast import _trilinear_gather, _trilinear_prep
 from ..transfer import opacity_correction
 from . import KernelSpec, MarchPlan
 
 _F32 = np.float32
 
 
+def _window_pieces(counts, spans, K):
+    """``(ray, j0, length, wptr)``: window ``w``'s pieces are
+    ``[wptr[w], wptr[w+1])``, in ray-major order within the window."""
+    n = len(counts)
+    if spans is None:  # one [0, count) span per ray
+        spans = (np.arange(n + 1), np.zeros(n, np.int64), counts)
+    row_ptr, j0, j1 = spans
+    wa = j0 // K
+    npc = (j1 - 1) // K - wa + 1  # pieces per span (0 for an empty ray)
+    w = np.arange(int(npc.sum())) - np.repeat(np.cumsum(npc) - npc - wa, npc)
+    ray = np.repeat(np.repeat(np.arange(n, dtype=np.int32), np.diff(row_ptr)), npc)
+    pj0 = np.maximum(np.repeat(j0, npc), w * K)
+    plen = np.minimum(np.repeat(j1, npc), (w + 1) * K) - pj0
+    nw = int(w.max(initial=-1)) + 1
+    # A stable sort by window; small unsigned keys take NumPy's radix sort.
+    order = np.argsort(w.astype(np.min_scalar_type(nw)), kind="stable")
+    wptr = np.zeros(nw + 1, np.int64)
+    np.cumsum(np.bincount(w, minlength=nw), out=wptr[1:])
+    return np.take(ray, order), np.take(pj0, order), np.take(plen, order), wptr
+
+
+def _expand(pr, pj, pl, t0, dt):
+    """A window's flat sample rows and ``t = t0 + j·dt`` (float64; ``j``
+    the global ordinal, ``j·dt`` exact)."""
+    ends = np.cumsum(pl)
+    t = np.arange(ends[-1], dtype=np.float64)
+    t += np.repeat(pj - ends + pl, pl)
+    t *= dt
+    t += np.repeat(np.take(t0, pr), pl)
+    return np.repeat(pr, pl), t
+
+
+def _positions(pr, pl, t, dirs, base_w):
+    """Per-axis float64 lattice coords ``base_w + t·d`` of the samples."""
+    c = [np.repeat(np.take(dirs[a], pr), pl) for a in range(3)]
+    for a in range(3):
+        c[a] *= t
+        c[a] += base_w[a]
+    return c
+
+
+def _fold(rows, rgba, a, acc_rgb, acc_a):
+    """Fold a window's visible samples into the per-ray accumulators:
+    a segmented exclusive scan of ``1 − α`` per ray, scaled by the
+    carried-in ``1 − acc_a``.  Returns the rays it touched."""
+    n = len(rows)
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    starts = np.nonzero(first)[0]
+    wt = segmented_exclusive_cumprod(_F32(1.0) - a, first) * a
+    present = np.take(rows, starts)
+    t_prior = _F32(1.0) - np.take(acc_a, present)
+    # One reduceat per colour column: reduceat sums each column the same
+    # way in the 2-D form, so the bits match it and the 1-D calls are faster.
+    contrib = np.empty((len(starts), 3), dtype=_F32)
+    for ch in range(3):
+        np.add.reduceat(wt * rgba[:, ch], starts, out=contrib[:, ch])
+    contrib *= t_prior[:, None]
+    contrib += np.take(acc_rgb, present, axis=0)
+    acc_rgb[present] = contrib
+    acc_a[present] += t_prior * np.add.reduceat(wt, starts)
+    return present
+
+
 def march(plan: MarchPlan) -> int:
     """Run the blocked march; returns the owned-sample count."""
-    counts = plan.counts
-    t0_c = plan.t0
-    d_c = plan.dirs
-    base_w = plan.base_w
-    dt = _F32(plan.dt)
-    K = plan.block_size
-    use_ert = plan.use_ert
-    ert_alpha = _F32(plan.ert_alpha)
-    u_thr = plan.u_thr
-    skip_table = plan.skip_table
-    spans = plan.spans
-    flat = plan.flat
-    shape = plan.shape
-    need_clamp = plan.need_clamp
-    tf = plan.tf
-    acc_rgb_c = plan.acc_rgb
-    acc_a_c = plan.acc_a
-    term = plan.term
-    n_act = len(counts)
-    owned = 0
-
-    max_cnt = int(counts.max()) if n_act else 0
-    jb = 0
-    while jb < max_cnt:
-        alive = (counts > jb) & ~term
-        if not alive.any():
-            break
-        li = np.nonzero(alive)[0]
-        L = len(li)
-        cnt = np.minimum(counts[li] - jb, K)
-        m_all = int(cnt.sum())
-        # Every *owned* sample of the block is counted before any
-        # empty-space elision (table or grid) — the counters are part of
-        # the bitwise parity contract across accel modes and backends.
-        owned += m_all
-        if spans is None:
-            # Flat (ray, step) list straight from the ownership intervals.
-            rows = np.repeat(np.arange(L, dtype=np.int32), cnt)
-            off = np.zeros(L, dtype=np.int32)
-            np.cumsum(cnt[:-1], dtype=np.int32, out=off[1:])
-            j_flat = (np.arange(m_all, dtype=np.int32) - np.take(off, rows)) + np.int32(jb)
-        else:
-            # Grid-carved list: only samples inside occupied spans are
-            # positioned at all; rows/ordinals keep the uncarved order.
-            rows, j_flat = _block_spans_flat(spans, li, cnt, jb)
-            if len(rows) == 0:
-                jb += K
+    counts, K, term = plan.counts, plan.block_size, plan.term
+    ray, pj0, plen, wptr = _window_pieces(counts, plan.spans, K)
+    # The float64 operands NumPy promotes the float32 ones to, cast once.
+    dt = float(_F32(plan.dt))
+    t0 = plan.t0.astype(np.float64)
+    dirs = np.ascontiguousarray(plan.dirs.T, dtype=np.float64)
+    base_w = plan.base_w.astype(np.float64)
+    stop = counts.copy()  # a ray terminated after window w owns ≤ (w+1)·K
+    for w in range(len(wptr) - 1):
+        pr, pj, pl = (x[wptr[w] : wptr[w + 1]] for x in (ray, pj0, plen))
+        live = np.nonzero(~np.take(term, pr))[0]
+        if len(live) < len(pr):
+            pr, pj, pl = (np.take(x, live) for x in (pr, pj, pl))
+        if len(pr) == 0:
+            continue
+        rows, t = _expand(pr, pj, pl, t0, dt)
+        c = _positions(pr, pl, t, dirs, base_w)
+        # Rows (and for shading the unclipped positions) ride both filters.
+        kept = [rows] + ([p.copy() for p in c] if plan.shading else [])
+        base = _trilinear_prep(plan.shape, *c, clamp=plan.need_clamp)
+        if plan.skip_table is not None:
+            # Probed at the exact 2×2×2 support base the gather uses.
+            op = np.nonzero(np.take(plan.skip_table, base))[0]
+            if len(op) == 0:
                 continue
-        t_flat = np.take(t0_c[li], rows) + j_flat * dt
-        drow = np.take(d_c[li], rows, axis=0)
-        cx = base_w[0] + t_flat * drow[:, 0]
-        cy = base_w[1] + t_flat * drow[:, 1]
-        cz = base_w[2] + t_flat * drow[:, 2]
-        base, fx, fy, fz = _trilinear_prep(shape, cx, cy, cz, clamp=need_clamp)
-
-        if skip_table is not None:
-            # The skip test indexes the table at the exact 2×2×2 support
-            # base the trilinear gather uses.
-            op = np.nonzero(np.take(skip_table, base))[0]
-            if len(op) != len(base):
-                base = np.take(base, op)
-                fx = np.take(fx, op)
-                fy = np.take(fy, op)
-                fz = np.take(fz, op)
-                rows = np.take(rows, op)
-                if plan.shading:
-                    cx = np.take(cx, op)
-                    cy = np.take(cy, op)
-                    cz = np.take(cz, op)
-                    drow = np.take(drow, op, axis=0)
-        if len(rows) == 0:
-            jb += K
-            continue
-
-        values = _trilinear_gather(flat, shape, base, fx, fy, fz)
-        u = tf.table_coord(values)
-        opq = np.nonzero(u > _F32(u_thr))[0] if u_thr >= 0 else np.arange(len(u))
-        if len(opq) == 0:
-            jb += K
-            continue
-        u_op = np.take(u, opq)
-        rows_op = np.take(rows, opq)
-        rgba = tf.lookup_from_u(u_op)
+            if len(op) < len(base):
+                base, *c = (np.take(x, op) for x in (base, *c))
+                kept = [np.take(x, op) for x in kept]
+        u = plan.tf.table_coord(_trilinear_gather(plan.flat, plan.shape, base, *c))
+        if plan.u_thr >= 0:
+            opq = np.nonzero(u > _F32(plan.u_thr))[0]
+            if len(opq) == 0:
+                continue
+            if len(opq) < len(u):
+                u = np.take(u, opq)
+                kept = [np.take(x, opq) for x in kept]
+        rows, *pos = kept
+        rgba = plan.tf.lookup_from_u(u)
         if plan.shading:
             from ..shading import central_gradient, shade_phong
 
-            pos_op = np.stack(
-                [np.take(cx, opq), np.take(cy, opq), np.take(cz, opq)], axis=1
-            ) + _F32(0.5)
-            grads = central_gradient(plan.data, pos_op)
-            rgba[:, :3] = shade_phong(
-                rgba[:, :3], grads, np.take(drow, opq, axis=0)
-            )
-        a = opacity_correction(rgba[:, 3], plan.dt)
-
-        first = np.empty(len(rows_op), dtype=bool)
-        first[0] = True
-        np.not_equal(rows_op[1:], rows_op[:-1], out=first[1:])
-        trans = segmented_exclusive_cumprod(
-            _F32(1.0) - a, first, max_run=int(cnt.max())
-        )
-        w = trans * a
-        starts = np.nonzero(first)[0]
-        present = np.take(rows_op, starts)  # rows with ≥1 visible sample
-        t_prior = _F32(1.0) - acc_a_c[li]
-        contrib = np.add.reduceat(w[:, None] * rgba[:, :3], starts, axis=0)
-        lip = li[present]
-        acc_rgb_c[lip] += t_prior[present, None] * contrib
-        acc_a_c[lip] += t_prior[present] * np.add.reduceat(w, starts)
-
-        if use_ert:
-            done = acc_a_c[li] >= ert_alpha
-            if done.any():
-                term[li[done]] = True
-        jb += K
-    return owned
+            grads = central_gradient(plan.data, np.stack(pos, axis=1) + _F32(0.5))
+            view = np.take(plan.dirs, rows, axis=0)
+            rgba[:, :3] = shade_phong(rgba[:, :3], grads, view)
+        present = _fold(rows, rgba, opacity_correction(rgba[:, 3], plan.dt),
+                        plan.acc_rgb, plan.acc_a)
+        if plan.use_ert:  # only rays whose alpha just changed can terminate
+            hit = np.take(plan.acc_a, present) >= _F32(plan.ert_alpha)
+            done = np.take(present, np.nonzero(hit)[0])
+            term[done] = True
+            stop[done] = (w + 1) * K
+    # Every *owned* sample of a live block counts, before any empty-space
+    # elision — the counters are part of the bitwise parity contract
+    # across accel modes and backends.
+    return int(np.minimum(counts, stop).sum())
 
 
 def warmup() -> None:

@@ -40,9 +40,10 @@ iteration, the marcher processes each live ray's next ``block_size``
 owned samples at once and amortizes interpreter dispatch over the whole
 block:
 
-* the flat sample list of a block is built directly from the ownership
-  intervals (``np.repeat`` over per-ray counts — ownership is a mask by
-  construction, not a test);
+* each ray's owned spans are split once per brick at the block window
+  boundaries into window-ordered (ray, first ordinal, length) pieces;
+  a block's flat sample list is its window's pieces expanded with
+  ``np.repeat`` (ownership is a mask by construction, not a test);
 * one flattened trilinear gather fetches all samples (ravel-offset
   ``np.take`` on ``data.ravel()`` — no 3-D fancy indexing);
 * a conservative corner-max empty-space table (built per call when the
@@ -68,7 +69,8 @@ positions, never probe the corner-max table, never gather.
 Conservative-skip proof obligation: the grid path must be **bitwise
 identical** to ``accel="off"``, counters included.  Three facts carry
 it:  (1) a cell is marked empty only when every sample it can produce —
-under the march's own float32 arithmetic, clamping included — satisfies
+under the march's own arithmetic (float64 positions and lerps, float32
+table coordinates), clamping included — satisfies
 the kernel's exact per-sample filter ``u <= u_thr`` (see
 ``build_macro_grid`` for the two safety margins), so carving removes
 only samples every other path also removes before the transmittance
@@ -212,36 +214,34 @@ def _trilinear_prep(
     cy: np.ndarray,
     cz: np.ndarray,
     clamp: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(base ravel index, fx, fy, fz) for lattice coords ``c = pos − ½``.
+) -> np.ndarray:
+    """Int64 base ravel index for float64 lattice coords ``c = pos − ½``.
 
+    Works in place, one axis at a time: ``cx``, ``cy``, ``cz`` are
+    overwritten with the lerp fractions ``fx``, ``fy``, ``fz``.
     Clamp-to-edge is folded into the coordinates: clipping ``c`` to
     ``[0, n−1]`` and the base index to ``n−2`` reproduces the classic
     per-corner index clamp (outside samples collapse onto the edge value)
     while keeping the +1 neighbour offsets constant.  Callers that can
     prove every sample's 2×2×2 support lies inside the payload (interior
     bricks with a full ghost shell) pass ``clamp=False`` and skip the
-    six clip passes.
+    clip passes.
     """
-    nx, ny, nz = shape
-    if clamp:
-        cx = np.clip(cx, _F32(0.0), _F32(nx - 1))
-        cy = np.clip(cy, _F32(0.0), _F32(ny - 1))
-        cz = np.clip(cz, _F32(0.0), _F32(nz - 1))
-        ix = np.minimum(cx.astype(np.int32), max(nx - 2, 0))
-        iy = np.minimum(cy.astype(np.int32), max(ny - 2, 0))
-        iz = np.minimum(cz.astype(np.int32), max(nz - 2, 0))
-    else:
-        ix = cx.astype(np.int32)
-        iy = cy.astype(np.int32)
-        iz = cz.astype(np.int32)
-    fx = cx - ix
-    fy = cy - iy
-    fz = cz - iz
-    if nx * ny * nz >= 2**31:  # int32 ravel offsets would wrap
-        ix = ix.astype(np.int64)
-    base = (ix * ny + iy) * nz + iz
-    return base, fx, fy, fz
+    base = None
+    for c, n in zip((cx, cy, cz), shape):
+        if clamp:  # np.clip, without its Python-level overhead
+            np.maximum(c, 0.0, out=c)
+            np.minimum(c, n - 1, out=c)
+        i = c.astype(np.int64)
+        if clamp:
+            np.minimum(i, max(n - 2, 0), out=i)
+        c -= i
+        if base is None:
+            base = i
+        else:
+            base *= n
+            base += i
+    return base
 
 
 def _trilinear_gather(
@@ -252,28 +252,32 @@ def _trilinear_gather(
     fy: np.ndarray,
     fz: np.ndarray,
 ) -> np.ndarray:
-    """Eight ravel-offset ``np.take`` corner fetches + factored lerps."""
+    """Eight ravel-offset ``np.take`` corner fetches + factored lerps.
+
+    Each corner is one ``np.take`` of ``base`` into the view ``flat[off:]``
+    (no offset index arrays), and the lerps ``lo + f·(hi − lo)`` run in
+    place on the fetched corners (same operations, fewer temporaries).
+    """
     nx, ny, nz = shape
     # Degenerate (size-1) axes collapse the +1 neighbour onto the voxel.
     sx = ny * nz if nx > 1 else 0
     sy = nz if ny > 1 else 0
     sz = 1 if nz > 1 else 0
-    v000 = np.take(flat, base)
-    v001 = np.take(flat, base + sz)
-    v010 = np.take(flat, base + sy)
-    v011 = np.take(flat, base + sy + sz)
-    base = base + sx
-    v100 = np.take(flat, base)
-    v101 = np.take(flat, base + sz)
-    v110 = np.take(flat, base + sy)
-    v111 = np.take(flat, base + sy + sz)
-    c00 = v000 + fz * (v001 - v000)
-    c01 = v010 + fz * (v011 - v010)
-    c10 = v100 + fz * (v101 - v100)
-    c11 = v110 + fz * (v111 - v110)
-    c0 = c00 + fy * (c01 - c00)
-    c1 = c10 + fy * (c11 - c10)
-    return c0 + fx * (c1 - c0)
+
+    def lerp_z(off):
+        lo = np.take(flat[off:], base)
+        hi = np.take(flat[off + sz :], base)
+        hi -= lo
+        c = fz * hi
+        c += lo
+        return c
+
+    c00, c01, c10, c11 = (lerp_z(off) for off in (0, sy, sx, sx + sy))
+    for lo, hi, f in ((c00, c01, fy), (c10, c11, fy), (c01, c11, fx)):
+        hi -= lo  # the y lerps leave c0 in c01 and c1 in c11
+        hi *= f
+        hi += lo
+    return c11
 
 
 def _trilinear_flat(
@@ -283,8 +287,13 @@ def _trilinear_flat(
     cy: np.ndarray,
     cz: np.ndarray,
 ) -> np.ndarray:
-    """Trilinear filter on raveled data; ``c*`` are lattice coords (pos−½)."""
-    base, fx, fy, fz = _trilinear_prep(shape, cx, cy, cz)
+    """Trilinear filter on raveled data; ``c*`` are lattice coords (pos−½).
+
+    Copies the coordinates to float64 (exact), the width the lerps run
+    in for any input; the inputs are left untouched.
+    """
+    fx, fy, fz = (np.array(c, dtype=np.float64) for c in (cx, cy, cz))
+    base = _trilinear_prep(shape, fx, fy, fz)
     return _trilinear_gather(flat, shape, base, fx, fy, fz)
 
 
@@ -293,8 +302,10 @@ def trilinear_sample(data: np.ndarray, local_pos: np.ndarray) -> np.ndarray:
 
     ``local_pos`` is ``(M, 3)`` in the data block's local world
     coordinates (voxel ``i`` spans ``[i, i+1)``, its center at ``i+0.5``).
-    Matches CUDA 3D-texture filtering with clamp-to-edge.  Runs in
-    float32 with flat ravel-offset gathers (see :func:`_trilinear_flat`).
+    Matches CUDA 3D-texture filtering with clamp-to-edge.  Positions are
+    rounded to float32 and shifted by ½ in float32; the fractions and
+    lerps then run in float64 (the voxel values are float32), with flat
+    ravel-offset gathers (see :func:`_trilinear_flat`).
     """
     c = np.asarray(local_pos, dtype=_F32) - _F32(0.5)
     flat = np.ascontiguousarray(data).ravel()
@@ -360,9 +371,6 @@ def _alpha_zero_threshold(tf: TransferFunction1D) -> float:
     return float(nz[0] - 1)
 
 
-_EMPTY_I32 = np.zeros(0, dtype=np.int32)
-
-
 def _doubled_any(occ: np.ndarray) -> np.ndarray:
     """Flat "any occupied cell in the box" table on the doubled lattice.
 
@@ -419,8 +427,11 @@ def _macro_grid_spans(
     * positions are linear in ``t`` and the clamped cell index is
       monotone in position, so every sample of a dropped piece lies in
       an empty cell of the box;
-    * the march's float32 positions differ from these float64 ones by
-      far less than the one-voxel support pad of the cell min/max
+    * the march's positions are float64 too (NumPy promotes its
+      ``int · float32`` step products), from the float32 ``t0``, step,
+      directions and origin; they differ from these, which use the
+      float64 ``dt``, by at most ``j·dt·2**-24`` plus rounding — far
+      less than the one-voxel support pad of the cell min/max
       (:func:`~repro.render.accel.build_macro_grid`), so such a sample
       draws its 2×2×2 support from inside the padded footprint of a
       cell classified empty and the kernel's exact filter
@@ -492,53 +503,6 @@ def _macro_grid_spans(
     row_ptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(span_rows, minlength=n), out=row_ptr[1:])
     return row_ptr, j0, j1
-
-
-def _block_spans_flat(
-    spans: tuple[np.ndarray, np.ndarray, np.ndarray],
-    li: np.ndarray,
-    cnt: np.ndarray,
-    jb: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One block's flat (row, global ordinal) sample list, grid-carved.
-
-    Intersects the alive rays' occupied spans with the block window
-    ``[jb, jb + cnt_row)``.  Rows ascend and ordinals ascend within each
-    row — the same ordering the uncarved construction produces — so all
-    downstream segment handling (scan boundaries, reduceat starts) is
-    oblivious to the carve.
-    """
-    row_ptr, sj0, sj1 = spans
-    s0 = row_ptr[li]
-    lens = row_ptr[li + 1] - s0
-    nsp = int(lens.sum())
-    if nsp == 0:
-        return _EMPTY_I32, _EMPTY_I32
-    L = len(li)
-    srow = np.repeat(np.arange(L, dtype=np.int32), lens)
-    off = np.zeros(L, dtype=np.int64)
-    np.cumsum(lens[:-1], dtype=np.int64, out=off[1:])
-    sidx = (np.arange(nsp, dtype=np.int64) - np.take(off, srow)) + np.take(s0, srow)
-    b0 = np.maximum(np.take(sj0, sidx), jb)
-    b1 = np.minimum(np.take(sj1, sidx), jb + np.take(cnt, srow))
-    ln = b1 - b0
-    keep = ln > 0
-    if not keep.all():
-        srow = srow[keep]
-        b0 = b0[keep]
-        ln = ln[keep]
-    m = int(ln.sum())
-    if m == 0:
-        return _EMPTY_I32, _EMPTY_I32
-    ns = len(ln)
-    rows = np.repeat(srow, ln)
-    off2 = np.zeros(ns, dtype=np.int64)
-    np.cumsum(ln[:-1], dtype=np.int64, out=off2[1:])
-    span_of = np.repeat(np.arange(ns, dtype=np.int64), ln)
-    j_flat = (
-        np.arange(m, dtype=np.int64) - np.take(off2, span_of) + np.take(b0, span_of)
-    ).astype(np.int32)
-    return rows, j_flat
 
 
 def raycast_brick(
@@ -709,8 +673,8 @@ def raycast_brick(
         )
 
     # The march itself runs behind the kernel contract: the numpy
-    # backend is this function's original blocked fold moved verbatim
-    # (bitwise-identical), the numba backend a compiled per-ray marcher
+    # backend is the blocked vectorized fold (the bitwise oracle), the
+    # numba backend a compiled per-ray marcher
     # (exact keys/depths/counters, tolerance-banded colors — see the
     # kernels package docstring).  Imported lazily: kernels imports this
     # module's helpers at load time.

@@ -81,21 +81,25 @@ class TransferFunction1D:
         (no rescale).  The ray-cast kernel uses ``u`` both for its
         exact empty-space test and for :meth:`lookup_from_u`.
         """
-        v = np.asarray(values, dtype=np.float32)
+        v = np.array(values, dtype=np.float32)  # a copy: updated in place
         if self.vmin != 0.0 or self.vmax != 1.0:
-            v = (v - np.float32(self.vmin)) * np.float32(
-                1.0 / (self.vmax - self.vmin)
-            )
-        return np.clip(v, 0.0, 1.0) * np.float32(self.resolution - 1)
+            v -= np.float32(self.vmin)
+            v *= np.float32(1.0 / (self.vmax - self.vmin))
+        np.clip(v, 0.0, 1.0, out=v)
+        v *= np.float32(self.resolution - 1)
+        return v
 
     def lookup_from_u(self, u: np.ndarray) -> np.ndarray:
         """RGBA for precomputed table coordinates (see :meth:`table_coord`)."""
         i0 = u.astype(np.int32)  # u >= 0, so truncation is floor
-        i0 = np.minimum(i0, self.resolution - 2)
-        f = (u - i0.astype(np.float32))[..., None]
-        return np.take(self.table, i0, axis=0) + f * np.take(
-            self._diff, i0, axis=0
-        )
+        np.minimum(i0, self.resolution - 2, out=i0)
+        f = i0.astype(np.float32)
+        np.subtract(u, f, out=f)
+        rgba = np.take(self.table, i0, axis=0)
+        d = np.take(self._diff, i0, axis=0)
+        d *= f[..., None]
+        rgba += d
+        return rgba
 
     def lookup(self, values: np.ndarray) -> np.ndarray:
         """Linearly-interpolated RGBA for each scalar (clamp addressing).

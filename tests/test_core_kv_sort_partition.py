@@ -216,3 +216,63 @@ def test_split_message_sizes_conserves_pairs(n, thr):
     assert all(1 <= s <= thr for s in sizes)
     if n:
         assert all(s == thr for s in sizes[:-1])
+
+
+# -- resolving the counting scatter --------------------------------------
+import os  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+
+from repro.core import sort as core_sort  # noqa: E402
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_render_loads_counting_scatter_without_scipy_sparse():
+    """A fresh process renders one frame on the C counting scatter
+    without paying for the ``scipy.sparse`` package import."""
+    pytest.importorskip("scipy")
+    code = (
+        "import sys\n"
+        "from repro import MapReduceVolumeRenderer, make_dataset, orbit_camera\n"
+        "from repro.core.sort import counting_scatter_available\n"
+        "vol = make_dataset('skull', (24, 24, 24))\n"
+        "r = MapReduceVolumeRenderer(volume=vol, cluster=2)\n"
+        "r.render(orbit_camera(vol.shape, width=32, height=32))\n"
+        "assert counting_scatter_available()\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert 'scipy.sparse' not in sys.modules, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def _broken_loader():
+    raise OSError("extension file unreadable")
+
+
+class _DriftedTools:
+    """A ``coo_tocsr`` that no longer scatters: fails the known answer."""
+
+    @staticmethod
+    def coo_tocsr(*args):
+        pass
+
+
+@pytest.mark.parametrize("direct", [_broken_loader, lambda: _DriftedTools])
+def test_counting_scatter_falls_back_to_package_import(monkeypatch, direct):
+    pytest.importorskip("scipy")
+    monkeypatch.setattr(core_sort, "_sparsetools_direct", direct)
+    tools = core_sort._load_counting_scatter()
+    assert tools is not None and tools is not _DriftedTools
+    assert core_sort._scatter_works(tools)
+
+
+def test_counting_scatter_falls_back_to_argsort(monkeypatch):
+    monkeypatch.setattr(core_sort, "_sparsetools_direct", _broken_loader)
+    monkeypatch.setattr(core_sort, "_sparsetools_package", _broken_loader)
+    monkeypatch.setattr(core_sort, "_sp_tools", core_sort._UNRESOLVED)
+    assert not core_sort.counting_scatter_available()
+    keys = np.random.default_rng(9).integers(0, 50, 300)
+    got = core_sort.stable_counting_order(keys, 50)
+    assert np.array_equal(got, np.argsort(keys, kind="stable"))

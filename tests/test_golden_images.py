@@ -10,15 +10,19 @@ scheduling, worker-side reduce, the mesh vs tcp shuffle plane, frame
 pipelining) nor the skip structures may leak into the image or the
 deterministic counters.
 
-The pipeline is pure NumPy (float32 IEEE ops, stable sorts), so the
-fixtures are reproducible across runs and processes.  If an intentional
-kernel change shifts the output, regenerate them with::
+The pipeline is pure NumPy (IEEE ops in a fixed float32/float64 mix —
+positions and lerps in float64, colours and compositing in float32 — and
+stable sorts), so the fixtures are reproducible across runs and
+processes.  If an intentional kernel change shifts the output,
+regenerate them with::
 
-    PYTHONPATH=src python tests/test_golden_images.py --regen
+    PYTHONPATH=src python tests/test_golden_images.py --regen [SCENE ...]
 
-and commit the new ``.npz`` files together with the kernel change.
+(all scenes when none are named) and commit the new ``.npz`` files
+together with the kernel change.
 """
 
+import dataclasses
 import glob
 import sys
 from pathlib import Path
@@ -69,6 +73,34 @@ SCENES = {
     ),
 }
 
+# March-kernel axes the scenes above leave at their defaults (block 8, no
+# shading, accel grid, edge bricks that clamp).  Kept apart from SCENES so
+# the pool matrices parametrized over SCENES do not grow; ``config``
+# holds the extra RenderConfig fields.
+KERNEL_SCENES = {
+    "skull_default_block1": dict(
+        SCENES["skull_default_az40"], config=dict(block_size=1),
+    ),
+    "skull_default_block32": dict(
+        SCENES["skull_default_az40"], config=dict(block_size=32),
+    ),
+    "skull_default_shading": dict(
+        SCENES["skull_default_az40"], config=dict(shading=True),
+    ),
+    "skull_noert_accel_off": dict(
+        SCENES["skull_default_az40"], ert_alpha=1.0,
+        config=dict(accel="off"),
+    ),
+    # 4×4×4 bricks of 8³: the middle 2×2×2 have a full ghost shell, so
+    # their march skips the clamp (``need_clamp`` False).
+    "skull_interior_bricks": dict(
+        SCENES["skull_default_az40"], size=32, gpus=4, bricks_per_gpu=16,
+        config={},
+    ),
+}
+
+ALL_SCENES = {**SCENES, **KERNEL_SCENES}
+
 
 def build_job(name, accel=None, macro_cell_size=8, kernel=None):
     """Renderer + camera + chunk placement for one golden scene.
@@ -79,7 +111,7 @@ def build_job(name, accel=None, macro_cell_size=8, kernel=None):
     march-kernel backend (tests/test_kernels.py runs the matrix against
     the numba backend, comparing within its documented color band).
     """
-    s = SCENES[name]
+    s = ALL_SCENES[name]
     vol = make_dataset(s["dataset"], (s["size"],) * 3)
     cam = orbit_camera(
         vol.shape,
@@ -88,9 +120,9 @@ def build_job(name, accel=None, macro_cell_size=8, kernel=None):
         width=s["image"],
         height=s["image"],
     )
-    overrides = (
-        {} if accel is None else {"accel": accel, "macro_cell_size": macro_cell_size}
-    )
+    overrides = dict(s.get("config", {}))
+    if accel is not None:
+        overrides.update(accel=accel, macro_cell_size=macro_cell_size)
     if kernel is not None:
         overrides["kernel"] = kernel
     r = MapReduceVolumeRenderer(
@@ -167,6 +199,41 @@ def test_inprocess_accel_modes_match_golden(scene, accel):
     counts owned samples in every mode by contract)."""
     image, result = run_job(InProcessExecutor(), *build_job(scene, accel=accel))
     assert_matches_golden(scene, image, result)
+
+
+@pytest.mark.parametrize("scene", sorted(KERNEL_SCENES))
+def test_inprocess_kernel_axes_match_golden(scene, monkeypatch):
+    """Block sizes 1 and 32, shading, the no-ERT accel-off oracle and
+    interior (unclamped) bricks reproduce their fixtures bitwise."""
+    from repro.render.kernels import numpy_backend
+
+    spec = numpy_backend.SPEC
+    need_clamp = []
+
+    def march(plan):
+        need_clamp.append(plan.need_clamp)
+        return spec.march(plan)
+
+    monkeypatch.setattr(
+        numpy_backend, "SPEC", dataclasses.replace(spec, march=march)
+    )
+    image, result = run_job(
+        InProcessExecutor(), *build_job(scene, kernel="numpy")
+    )
+    assert_matches_golden(scene, image, result)
+    if scene == "skull_interior_bricks":
+        assert False in need_clamp, "no interior brick was marched"
+
+
+def test_pool_kernel_axes_match_golden_smoke():
+    """The kernel-axis scenes through one 2-worker pool."""
+    with SharedMemoryPoolExecutor(workers=2) as pool:
+        rendered = {
+            name: run_job(pool, *build_job(name, kernel="numpy"))
+            for name in sorted(KERNEL_SCENES)
+        }
+    for name, (image, result) in rendered.items():
+        assert_matches_golden(name, image, result)
 
 
 def test_pool_grid_accel_matches_golden():
@@ -308,9 +375,9 @@ def test_pool_matrix_matches_golden(scene, workers, pipeline_depth):
 
 
 # -- fixture (re)generation --------------------------------------------------
-def regenerate() -> None:
+def regenerate(names=None) -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in sorted(SCENES):
+    for name in names or sorted(ALL_SCENES):
         image, result = render_scene(name, InProcessExecutor())
         s = result.stats
         np.savez_compressed(
@@ -342,11 +409,17 @@ if __name__ == "__main__":
     ap.add_argument(
         "--regen",
         action="store_true",
-        help="re-render every fixture with the serial executor and "
-        "overwrite tests/golden/*.npz",
+        help="re-render fixtures with the serial executor and overwrite "
+        "tests/golden/*.npz",
+    )
+    ap.add_argument(
+        "scenes", nargs="*", help="scenes to regenerate (default: all)"
     )
     args = ap.parse_args()
+    unknown = set(args.scenes) - set(ALL_SCENES)
+    if unknown:
+        ap.error(f"unknown scenes: {sorted(unknown)}")
     if args.regen:
-        regenerate()
+        regenerate(args.scenes)
     else:
         ap.error("nothing to do (pass --regen)")

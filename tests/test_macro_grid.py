@@ -16,7 +16,7 @@ size together set how finely it carves.
 
 It also checks the classifier's invariant directly: no cell may be
 marked empty if any sample position attributed to it can produce
-non-zero alpha under the kernel's own float32 arithmetic.
+non-zero alpha under the kernel's own arithmetic.
 """
 
 import numpy as np
@@ -333,7 +333,7 @@ def test_no_leading_zero_and_opaque_tfs_yield_sentinel():
 def test_span_carve_is_conservative_per_sample():
     """Every sample the span carve drops would also be dropped by the
     kernel's exact per-sample filter — checked directly against the
-    march's own float32 position arithmetic, at every block width: one
+    march's own position arithmetic, at every block width: one
     sample per window, windows shorter than a cell, and windows whose
     ``(K−1)·dt`` reaches past a whole cell.  Rays entering through the
     volume faces put their first samples below lattice coordinate 0,
@@ -387,7 +387,8 @@ def test_span_carve_is_conservative_per_sample():
             carved = np.nonzero(~kept)[0]
             if len(carved) == 0:
                 continue
-            # the march's own position arithmetic, float32 end to end
+            # the march's own position arithmetic: float32 operands,
+            # promoted to float64 by the int32 ordinals
             t = t0[i] + carved.astype(np.int32) * dt
             cx = base_w[0] + t * dirs[active[i], 0]
             cy = base_w[1] + t * dirs[active[i], 1]
